@@ -3,11 +3,11 @@
  * Serving observability overhead: end-to-end dracod latency with the
  * obs pipeline off versus on, plus the server-side stage breakdown.
  *
- * Mirrors the serve_throughput workload shape (16 tenants, 32-request
- * client batches, 4 shards, 64-drain) but drives a real SocketServer
- * over a Unix socket so the full request pipeline — admit, parse,
- * enqueue, drain, check, reply-flush — is on the measured path. Two
- * phases replay byte-identical per-tenant streams closed-loop:
+ * 16 tenants send 32-request client batches to 4 shards draining up to
+ * 64 requests per wakeup, through a real SocketServer over a Unix
+ * socket, so the full request pipeline — admit, parse, enqueue, drain,
+ * check, reply-flush — is on the measured path. Two phases replay
+ * byte-identical per-tenant streams closed-loop:
  *
  *  - obs-off   no --metrics-listen: the stage-latency pipeline is
  *              compiled in but never stamps a clock or commits a
@@ -20,7 +20,7 @@
  * Each phase runs kRepeats times and reports the minimum wall time
  * (closed-loop wall is scheduling-noisy; min is the stable summary).
  * `figure.overhead_pct` is the obs-on wall cost over obs-off — the
- * ISSUE budget is <3%. The headline table is the server-side stage
+ * budget is <3%. The headline table is the server-side stage
  * quantile breakdown (p50/p95/p99/p999 per stage) scraped from the
  * obs hub after the last obs-on run: the numbers dracod would serve
  * from /metrics under this load.
@@ -68,7 +68,10 @@ struct TenantTraffic {
     std::vector<os::SyscallRequest> reqs;
 };
 
-/** Same construction as serve_throughput: byte-identical streams. */
+/**
+ * Tenant t replays bench workload t (wrapping) from its own split
+ * seed, so every phase and repeat sends byte-identical streams.
+ */
 std::vector<TenantTraffic>
 makeTraffic()
 {
@@ -137,8 +140,6 @@ runPhase(const std::vector<TenantTraffic> &traffic, bool obs,
     options.shards = kShards;
     options.queueCapacity = kTenants * kClientBatch * 4;
     options.maxBatch = 64;
-    const os::KernelCosts costs = os::newKernelCosts();
-    options.costs = &costs;
     serve::CheckService service(options);
 
     serve::ServerOptions serverOptions;

@@ -3,10 +3,9 @@
  * dracod connection-scale soak: p99 latency and shed rate versus
  * concurrent connection count, through the real epoll frontend.
  *
- * Unlike serve_throughput (which measures the CheckService in
- * process), this bench exercises the full wire path: a SocketServer
- * listening on TCP 127.0.0.1:0 with its fixed event-loop pool, and a
- * sweep of {64, 256, 1024} concurrent client connections pipelining
+ * The bench exercises the full wire path: a SocketServer listening on
+ * TCP 127.0.0.1:0 with its fixed event-loop pool, and a sweep of
+ * {64, 256, 1024} concurrent client connections pipelining
  * CheckBatch frames open-loop (a bounded per-connection window, no
  * lock-stepping). 16 tenants are shared round-robin across the
  * connections, so tenant admission caps and shard queue bounds apply
@@ -331,8 +330,6 @@ main(int argc, char **argv)
     serviceOptions.shards = 2;
     serviceOptions.queueCapacity = 4096;
     serviceOptions.maxBatch = 64;
-    const os::KernelCosts costs = os::newKernelCosts();
-    serviceOptions.costs = &costs;
     serve::CheckService service(serviceOptions);
 
     serve::ServerOptions serverOptions;

@@ -130,8 +130,6 @@ runPhase(const Config &cfg, uint64_t residentCap,
     options.maxBatch = 64;
     options.maxTenants = static_cast<uint32_t>(cfg.tenants);
     options.maxResidentTenants = static_cast<uint32_t>(residentCap);
-    const os::KernelCosts costs = os::newKernelCosts();
-    options.costs = &costs;
     serve::CheckService service(options);
 
     static const seccomp::Profile profile =

@@ -54,9 +54,9 @@ Tracer::takeSample()
     _sampleCycles.push_back(_now);
     for (size_t i = 0; i < _series.size(); ++i)
         _series[i].values.push_back(_providers[i] ? _providers[i]() : 0.0);
-    // One sample per crossing: skip intervals the sim jumped over.
-    while (_nextSample <= _now)
-        _nextSample += _sampleEvery;
+    // One sample per crossing: jump straight past every interval the
+    // clock skipped (a wall-clocked track may idle for hours).
+    _nextSample = (_now / _sampleEvery + 1) * _sampleEvery;
 }
 
 TraceSession::TraceSession(const SessionConfig &config)

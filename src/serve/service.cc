@@ -6,7 +6,6 @@
 #include "lifecycle/store.hh"
 #include "obs/serveobs.hh"
 #include "obs/tracer.hh"
-#include "os/kernelcosts.hh"
 #include "support/logging.hh"
 
 namespace draco::serve {
@@ -94,7 +93,7 @@ itemRequests(uint32_t count, bool isCheck)
 
 CheckService::CheckService(const ServiceOptions &options)
     : _options(options),
-      _costs(options.costs ? options.costs : &os::newKernelCosts()),
+      _startNs(obs::nowNs()),
       _pool(std::max(1u, options.shards),
             support::ThreadPool::Spawn::Always)
 {
@@ -372,7 +371,6 @@ CheckService::snapshotTenant(const TenantState &t, TenantStats &out) const
     out.allowed = t.allowed;
     out.denied = t.denied;
     out.rejects = t.rejects.load();
-    out.busyNs = t.busyNs;
     out.epoch = t.epochs.epoch();
     out.swaps = t.swaps;
 }
@@ -524,17 +522,15 @@ CheckService::shardLoop(size_t index)
 void
 CheckService::process(Shard &shard, std::vector<Item> &items)
 {
+    // The shard's measured clock: one read as the drain starts (also
+    // every latency record's drain-start stamp) and one after the
+    // eviction pass below, shared by all of the drain's requests.
+    const uint64_t drainStartNs = obs::nowNs();
     uint32_t requestsChecked = 0;
-    double drainNs = 0.0;
-
-    // One wall-clock read per drain, taken lazily at the first
-    // instrumented item: every record in this drain shares it, so
-    // observability costs O(records), not O(requests), clock reads.
-    uint64_t drainStartNs = 0;
 
     // Batch completions are deferred past the shard-counter updates
-    // below: a waiter woken by its batch must observe totalChecks()/
-    // busy-time figures that already include its own requests.
+    // below: a waiter woken by its batch must observe totalChecks()
+    // figures that already include its own requests.
     std::vector<std::pair<Batch *, uint32_t>> completions;
     completions.reserve(items.size());
 
@@ -542,11 +538,8 @@ CheckService::process(Shard &shard, std::vector<Item> &items)
         TenantState *t = item.tenant;
         switch (item.op) {
           case Op::Check: {
-            if (item.rec) {
-                if (drainStartNs == 0)
-                    drainStartNs = obs::nowNs();
+            if (item.rec)
                 item.rec->drainStartNs = drainStartNs;
-            }
             if (!t->checker && !t->evicted.load() &&
                 t->epochs.epoch() != 0)
                 materializeChecker(shard, *t);
@@ -570,10 +563,6 @@ CheckService::process(Shard &shard, std::vector<Item> &items)
                 for (uint32_t i = 0; i < item.count; ++i) {
                     core::SwCheckOutcome out =
                         t->checker->check(item.reqs[i]);
-                    double ns = core::swCheckCostNs(
-                        out, *_costs, t->opts.filterCopies);
-                    t->busyNs += ns;
-                    drainNs += ns;
                     CheckResponse &resp = item.resps[i];
                     resp.status = out.allowed ? CheckStatus::Allowed
                                               : CheckStatus::Denied;
@@ -648,29 +637,28 @@ CheckService::process(Shard &shard, std::vector<Item> &items)
         }
     }
 
-    shard.busyNs += drainNs;
     ++shard.drains;
     shard.processed += requestsChecked;
     shard.processedMirror.store(shard.processed,
                                 std::memory_order_relaxed);
-    shard.busyNsMirror.store(shard.busyNs, std::memory_order_relaxed);
     shard.batchStat.add(requestsChecked);
     shard.lastBatch.store(requestsChecked, std::memory_order_relaxed);
-    if (_shardResidentCap) {
+    if (_shardResidentCap)
         enforceResidentCap(shard);
-        shard.resident.store(static_cast<uint32_t>(shard.lru.size()),
-                             std::memory_order_relaxed);
-    }
+
+    const uint64_t drainEndNs = obs::nowNs();
     if (requestsChecked > 0) {
-        double perCheck = drainNs / requestsChecked;
+        // Wall time per checked request, restores and evictions
+        // included: what the next queued request will actually wait.
+        double perCheck =
+            static_cast<double>(drainEndNs - drainStartNs) /
+            requestsChecked;
         double old = shard.ewmaCheckNs.load(std::memory_order_relaxed);
         shard.ewmaCheckNs.store(0.8 * old + 0.2 * perCheck,
                                 std::memory_order_relaxed);
     }
     if (shard.tracer) {
-        // The modeled busy clock drives telemetry, so exported samples
-        // are deterministic regardless of host timing.
-        shard.tracer->setNowNs(shard.busyNs);
+        shard.tracer->setNowNs(static_cast<double>(drainEndNs - _startNs));
         shard.tracer->maybeSample();
     }
 
@@ -834,15 +822,6 @@ CheckService::totalRejects() const
     return total;
 }
 
-double
-CheckService::maxShardBusyNs() const
-{
-    double ns = 0.0;
-    for (const auto &shard : _shards)
-        ns = std::max(ns, shard->busyNs);
-    return ns;
-}
-
 uint32_t
 CheckService::residentTenants() const
 {
@@ -905,7 +884,6 @@ CheckService::exportMetrics(MetricRegistry &registry,
     uint64_t drains = 0;
     uint64_t queueFull = 0;
     uint64_t rejects = 0;
-    double busyTotal = 0.0;
     RunningStat batchStat;
     RunningStat depthStat;
 
@@ -915,7 +893,6 @@ CheckService::exportMetrics(MetricRegistry &registry,
         drains += shard.drains;
         queueFull += shard.queueFullRejects;
         rejects += shard.rejects.load();
-        busyTotal += shard.busyNs;
         batchStat.merge(shard.batchStat);
         depthStat.merge(shard.depthStat);
 
@@ -926,7 +903,6 @@ CheckService::exportMetrics(MetricRegistry &registry,
         registry.setCounter(sp + ".rejects_queue_full",
                             shard.queueFullRejects);
         registry.setCounter(sp + ".peak_depth", shard.peakDepth);
-        registry.setGauge(sp + ".busy_ns", shard.busyNs);
     }
 
     registry.setCounter(name("shard_count"), _shards.size());
@@ -940,13 +916,6 @@ CheckService::exportMetrics(MetricRegistry &registry,
                         rejects >= queueFull ? rejects - queueFull : 0);
     registry.setStat(name("batch_size"), batchStat);
     registry.setStat(name("queue_depth"), depthStat);
-    double busyMax = maxShardBusyNs();
-    registry.setGauge(name("busy_ns.total"), busyTotal);
-    registry.setGauge(name("busy_ns.max"), busyMax);
-    registry.setGauge(name("modeled_qps"),
-                      busyMax > 0.0
-                          ? static_cast<double>(checks) / busyMax * 1e9
-                          : 0.0);
 
     uint32_t count = _tenantCount.load(std::memory_order_acquire);
     registry.setCounter(name("tenants.count"), count);
@@ -966,7 +935,6 @@ CheckService::exportMetrics(MetricRegistry &registry,
         registry.setCounter(tp + ".evicted", t->evicted.load() ? 1 : 0);
         registry.setCounter(tp + ".epoch", t->epochs.epoch());
         registry.setCounter(tp + ".swaps", t->swaps);
-        registry.setGauge(tp + ".busy_ns", t->busyNs);
         if (t->checker)
             core::exportStats(t->checker->stats(), registry,
                               tp + ".check");
@@ -1022,18 +990,14 @@ CheckService::exportLiveMetrics(MetricRegistry &registry,
 
     uint64_t checks = 0;
     uint64_t rejects = 0;
-    double busyMax = 0.0;
     for (size_t i = 0; i < _shards.size(); ++i) {
         const Shard &shard = *_shards[i];
         const uint64_t shardChecks =
             shard.processedMirror.load(std::memory_order_relaxed);
         const uint64_t shardRejects =
             shard.rejects.load(std::memory_order_relaxed);
-        const double shardBusy =
-            shard.busyNsMirror.load(std::memory_order_relaxed);
         checks += shardChecks;
         rejects += shardRejects;
-        busyMax = std::max(busyMax, shardBusy);
 
         std::string sp = name("shards.s" + std::to_string(i));
         registry.setCounter(sp + ".checks", shardChecks);
@@ -1046,7 +1010,6 @@ CheckService::exportLiveMetrics(MetricRegistry &registry,
         registry.setGauge(
             sp + ".resident",
             shard.resident.load(std::memory_order_relaxed));
-        registry.setGauge(sp + ".busy_ns", shardBusy);
         registry.setGauge(
             sp + ".ewma_check_ns",
             shard.ewmaCheckNs.load(std::memory_order_relaxed));
@@ -1055,11 +1018,6 @@ CheckService::exportLiveMetrics(MetricRegistry &registry,
     registry.setCounter(name("shard_count"), _shards.size());
     registry.setCounter(name("checks"), checks);
     registry.setCounter(name("rejects"), rejects);
-    registry.setGauge(name("busy_ns.max"), busyMax);
-    registry.setGauge(name("modeled_qps"),
-                      busyMax > 0.0
-                          ? static_cast<double>(checks) / busyMax * 1e9
-                          : 0.0);
 
     ServiceStatsSnapshot svc;
     serviceStats(svc);

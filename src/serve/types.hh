@@ -99,7 +99,6 @@ struct TenantStats {
     uint64_t allowed = 0;  ///< Verdicts that permitted the call.
     uint64_t denied = 0;   ///< Verdicts that denied the call.
     uint64_t rejects = 0;  ///< Requests shed by admission control.
-    double busyNs = 0.0;   ///< Modeled service time consumed (§V-C).
 
     uint64_t epoch = 0;    ///< Current policy epoch (1 = creation).
     uint64_t swaps = 0;    ///< Profile swaps published for this tenant.
@@ -127,13 +126,12 @@ struct ServiceOptions {
     /** Most tenants the service will ever hold (slots preallocate). */
     uint32_t maxTenants = 4096;
 
-    /** Kernel cost preset pricing each check (default: newKernelCosts). */
-    const os::KernelCosts *costs = nullptr;
-
     /**
      * Observability session for per-shard telemetry (queue depth, batch
-     * size, rejects sampled over modeled time); nullptr disables.
-     * Tracks are named `serve/shard<i>`.
+     * size, rejects, resident tenants), sampled after drains and
+     * timestamped in wall ns since the service started, so timelines
+     * differ run to run; nullptr disables. Tracks are named
+     * `serve/shard<i>`.
      */
     obs::TraceSession *session = nullptr;
 

@@ -33,8 +33,9 @@ namespace draco::serve::wire {
  * Protocol version expected in Hello. Version 2 added the per-verdict
  * policy epoch to CheckBatchReply, the epoch/swap counters to
  * TenantStatsReply and ServiceStatsReply, and the UpdateProfile op.
+ * Version 3 dropped the modeled busy-time field from TenantStatsReply.
  */
-inline constexpr uint32_t kProtocolVersion = 2;
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /** Upper bound on one frame's payload (decoder rejects beyond it). */
 inline constexpr uint32_t kMaxFrameBytes = 1u << 20;
@@ -100,7 +101,7 @@ struct TenantStatsReq {
 
 struct TenantStatsReply {
     bool ok = false;
-    TenantStats stats; ///< busyNs rounded to whole nanoseconds.
+    TenantStats stats;
 };
 
 struct EvictTenant {

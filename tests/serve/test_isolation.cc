@@ -102,12 +102,13 @@ TEST(Isolation, FlooderShedsItsOwnTrafficNotTheVictims)
     ASSERT_NE(flooder, kInvalidTenant);
 
     // The flooder fires open-loop, far beyond its cap, for the whole
-    // victim run.
+    // victim run. Its requests outlive the flood thread: the last
+    // batches it submitted stay queued until service.stop() drains them.
+    constexpr uint32_t kFloodBatch = 32;
+    const std::vector<os::SyscallRequest> reqs(kFloodBatch, readRequest());
     std::atomic<bool> stopFlood{false};
     std::atomic<uint64_t> floodShed{0};
     std::thread floodThread([&] {
-        constexpr uint32_t kFloodBatch = 32;
-        std::vector<os::SyscallRequest> reqs(kFloodBatch, readRequest());
         while (!stopFlood.load()) {
             auto resps = std::make_shared<
                 std::vector<CheckResponse>>(kFloodBatch);

@@ -27,6 +27,7 @@
 #include "seccomp/profile.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
+#include "serve/transport.hh"
 #include "serve/wire.hh"
 
 namespace draco::serve {
@@ -422,6 +423,50 @@ TEST(SocketServer, ServiceStatsOverTheSocket)
     EXPECT_EQ(stats.checks, 2 * reqs.size());
     server.stop();
     service.stop();
+}
+
+/**
+ * The handshake version guard: a peer answering Hello with any other
+ * protocol version is refused at connect, before a single request is
+ * sent. A fake server speaking the raw wire protocol stands in for an
+ * older dracod; the same fake at the current version must connect, so
+ * the refusal is the version check and not a broken fake.
+ */
+TEST(SocketServer, HandshakeRefusesAnotherProtocolVersion)
+{
+    const std::string path = socketPath("version");
+    for (uint32_t version : {wire::kProtocolVersion - 1,
+                             wire::kProtocolVersion}) {
+        int listenFd = listenEndpoint(Endpoint::unix_(path));
+        ASSERT_GE(listenFd, 0);
+        std::thread peer([listenFd, version] {
+            int fd = ::accept(listenFd, nullptr, nullptr);
+            if (fd < 0)
+                return;
+            std::vector<uint8_t> payload;
+            wire::Hello hello;
+            if (wire::readFrame(fd, payload) &&
+                wire::decode(payload, hello)) {
+                wire::HelloReply reply;
+                reply.version = version;
+                reply.shards = 1;
+                payload.clear();
+                wire::encode(payload, reply);
+                wire::writeFrame(fd, payload);
+            }
+            ::close(fd);
+        });
+        auto client = SocketClient::connect(path);
+        // Unblocks the peer's accept() should the connect itself fail.
+        ::shutdown(listenFd, SHUT_RDWR);
+        peer.join();
+        ::close(listenFd);
+        ::unlink(path.c_str());
+        if (version == wire::kProtocolVersion)
+            EXPECT_NE(client, nullptr);
+        else
+            EXPECT_EQ(client, nullptr) << "accepted version " << version;
+    }
 }
 
 /** Both listeners at once: one service, either doorway. */

@@ -142,7 +142,6 @@ TEST(Wire, TenantStatsRoundTrip)
     reply.stats.allowed = 990;
     reply.stats.denied = 10;
     reply.stats.rejects = 77;
-    reply.stats.busyNs = 123456.0;
     reply.stats.epoch = 4;
     reply.stats.swaps = 3;
     TenantStatsReply out = roundTrip(reply, MsgType::TenantStatsReply);
@@ -155,9 +154,16 @@ TEST(Wire, TenantStatsRoundTrip)
     EXPECT_EQ(out.stats.allowed, 990u);
     EXPECT_EQ(out.stats.denied, 10u);
     EXPECT_EQ(out.stats.rejects, 77u);
-    EXPECT_DOUBLE_EQ(out.stats.busyNs, 123456.0);
     EXPECT_EQ(out.stats.epoch, 4u);
     EXPECT_EQ(out.stats.swaps, 3u);
+
+    // The v3 layout, field by field: type, ok, name (varint length +
+    // bytes), id, shard, evicted, seven check counters, allowed,
+    // denied, rejects, epoch, swaps — and nothing else.
+    std::vector<uint8_t> payload;
+    encode(payload, reply);
+    EXPECT_EQ(payload.size(),
+              1u + 1 + (1 + 2) + 4 + 4 + 1 + 7 * 8 + 3 * 8 + 2 * 8);
 }
 
 TEST(Wire, UpdateProfileRoundTrip)

@@ -24,7 +24,6 @@
 #include "lifecycle/store.hh"
 #include "obs/serveobs.hh"
 #include "obs/tracer.hh"
-#include "os/kernelcosts.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "support/cliflags.hh"
@@ -79,8 +78,6 @@ main(int argc, char **argv)
                   "capture requests slower than n microseconds "
                   "(admit to reply-flushed) into the /slowz ring "
                   "(0 = off; needs --metrics-listen)", 0);
-    flags.addFlag("old-kernel",
-                  "price checks with the old-kernel cost preset");
     flags.addCommon();
 
     if (!flags.parse(argc, argv)) {
@@ -117,8 +114,6 @@ main(int argc, char **argv)
         static_cast<uint32_t>(flags.uintValue("max-batch"));
     options.maxTenants =
         static_cast<uint32_t>(flags.uintValue("max-tenants"));
-    options.costs = flags.flag("old-kernel") ? &os::oldKernelCosts()
-                                             : &os::newKernelCosts();
     options.session = session.enabled() ? &session : nullptr;
     options.maxResidentTenants = static_cast<uint32_t>(
         flags.uintValue("max-resident-tenants"));
