@@ -32,6 +32,17 @@ CompiledPolicy::CompiledPolicy(const seccomp::Profile &profile_,
       specs(deriveCheckSpecs(profile_)),
       programKey(filterProgramKey(filter))
 {
+    if (!specs.empty())
+        spt.resize(size_t{specs.rbegin()->first} + 1);
+    for (const auto &[sid, spec] : specs) {
+        SptEntry &entry = spt[sid];
+        entry.valid = true;
+        entry.bitmask = spec.bitmask;
+        if (spec.checksArguments()) {
+            entry.vatTable = static_cast<Vat::TableIndex>(argSpecs.size());
+            argSpecs.push_back(spec);
+        }
+    }
 }
 
 std::shared_ptr<const CompiledPolicy>
@@ -58,10 +69,9 @@ DracoSoftwareChecker::DracoSoftwareChecker(
     if (filter_copies == 0)
         fatal("DracoSoftwareChecker: need at least one filter copy");
     // The OS sizes one VAT table per argument-checking syscall from the
-    // profile's estimated set counts (§VII-A).
-    for (const auto &[sid, spec] : _policy->specs)
-        if (spec.checksArguments())
-            _vat.configure(sid, spec.bitmask, spec.estimatedSets);
+    // profile's estimated set counts (§VII-A); table k is argSpecs[k],
+    // the position the SPT entries name.
+    _vat.configure(_policy->argSpecs);
 }
 
 namespace {
@@ -121,8 +131,8 @@ DracoSoftwareChecker::check(const os::SyscallRequest &req)
         return o;
     };
 
-    auto it = _policy->specs.find(req.sid);
-    if (it == _policy->specs.end()) {
+    const SptEntry *entry = _policy->sptEntry(req.sid);
+    if (!entry) {
         // SPT Valid bit clear: nothing cached can help; the filter
         // decides (and, for whitelist profiles, denies).
         bool allowed = runFilter();
@@ -133,8 +143,7 @@ DracoSoftwareChecker::check(const os::SyscallRequest &req)
         return traced(out);
     }
 
-    const CheckSpec &spec = it->second;
-    if (!spec.checksArguments()) {
+    if (entry->bitmask == 0) {
         ++_stats.sptAllowAll;
         out.allowed = true;
         out.path = SwPath::SptAllowAll;
@@ -143,11 +152,11 @@ DracoSoftwareChecker::check(const os::SyscallRequest &req)
 
     seccomp::ArgVector args;
     std::copy(req.args.begin(), req.args.end(), args.begin());
-    ArgKey key(spec.bitmask, args);
+    ArgKey key(entry->bitmask, args);
     out.hashedBytes = key.size();
     out.vatProbes = 2;
 
-    if (_vat.lookup(req.sid, key)) {
+    if (_vat.lookupAt(entry->vatTable, key)) {
         ++_stats.vatHits;
         out.allowed = true;
         out.path = SwPath::VatHit;
@@ -158,7 +167,7 @@ DracoSoftwareChecker::check(const os::SyscallRequest &req)
     out.allowed = allowed;
     if (allowed) {
         out.vatInserted = true;
-        out.vatEvicted = _vat.insert(req.sid, key);
+        out.vatEvicted = _vat.insertAt(entry->vatTable, key);
         ++_stats.vatInsertions;
         out.path = SwPath::FilterAllowed;
     } else {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "core/checkspec.hh"
 #include "core/vat.hh"
@@ -82,9 +83,25 @@ double swCheckCostNs(const SwCheckOutcome &outcome,
                      unsigned filterCopies = 1);
 
 /**
+ * One entry of the dense software SPT (§V-A): the Valid bit, the
+ * Argument Bitmask, and for an argument-checking syscall the position
+ * of its table in the checker's VAT, the counterpart of the paper's
+ * Base field.
+ */
+struct SptEntry {
+    uint64_t bitmask = 0;
+    Vat::TableIndex vatTable = Vat::kNoTable;
+    bool valid = false;
+};
+
+/**
  * The immutable, shareable compile of one profile: the policy itself,
  * its compiled fallback filter chain, and the derived per-syscall
- * check specs (the SPT template). Everything here is read-only after
+ * check specs (the SPT template). The specs are also laid out once
+ * for every checker: `spt` is the dense sid-indexed SPT, and
+ * `argSpecs` lists the argument-checking specs in ascending sid order,
+ * one VAT table each, so a checker's VAT table k belongs to
+ * argSpecs[k]. Everything here is read-only after
  * construction and FilterChain::run() is const and stateless, so one
  * CompiledPolicy may back any number of checkers across any number of
  * threads — in real fleets most tenants run the identical
@@ -100,10 +117,19 @@ struct CompiledPolicy {
     seccomp::DispatchShape shape;
     seccomp::FilterChain filter;
     std::map<uint16_t, CheckSpec> specs;
+    std::vector<SptEntry> spt;        ///< Indexed by sid; max sid + 1.
+    std::vector<CheckSpec> argSpecs;  ///< The VAT layout, ascending sid.
     uint64_t programKey = 0;
 
     CompiledPolicy(const seccomp::Profile &profile_,
                    seccomp::DispatchShape shape_);
+
+    /** @return @p sid's SPT entry, or nullptr when its Valid bit is clear. */
+    const SptEntry *
+    sptEntry(uint16_t sid) const
+    {
+        return sid < spt.size() && spt[sid].valid ? &spt[sid] : nullptr;
+    }
 
     /** Compile @p profile into a shareable policy. */
     static std::shared_ptr<const CompiledPolicy> compile(

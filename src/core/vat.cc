@@ -1,5 +1,6 @@
 #include "core/vat.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 
@@ -42,33 +43,65 @@ Vat::configure(uint16_t sid, uint64_t bitmask, size_t estimated_sets)
         fatal("Vat::configure: sid %u has no checked bytes", sid);
 
     size_t buckets = std::bit_ceil(std::max<size_t>(2, estimated_sets));
-
-    Table table;
-    table.bitmask = bitmask;
     unsigned keyBytes = static_cast<unsigned>(std::popcount(bitmask));
     // One entry: stored key rounded to 8 bytes, plus valid/metadata word.
-    table.entryBytes = ((keyBytes + 7) / 8) * 8 + 8;
-    table.baseAddr = allocateVatRegion(2 * buckets * table.entryBytes);
+    size_t entryBytes = ((keyBytes + 7) / 8) * 8 + 8;
+    Table table{sid, bitmask,
+                allocateVatRegion(2 * buckets * entryBytes), entryBytes,
+                CuckooTable<ArgKey>(
+                    buckets,
+                    [](const ArgKey &k) {
+                        return vatHash(CuckooWay::H1, k);
+                    },
+                    [](const ArgKey &k) {
+                        return vatHash(CuckooWay::H2, k);
+                    })};
 
-    table.cuckoo = std::make_unique<CuckooTable<ArgKey>>(
-        buckets,
-        [](const ArgKey &k) { return vatHash(CuckooWay::H1, k); },
-        [](const ArgKey &k) { return vatHash(CuckooWay::H2, k); });
+    if (Table *existing = tableFor(sid)) {
+        *existing = std::move(table);
+        return;
+    }
+    if (sid >= _index.size())
+        _index.resize(size_t{sid} + 1, kNoTable);
+    auto at = std::upper_bound(
+        _tables.begin(), _tables.end(), sid,
+        [](uint16_t s, const Table &t) { return s < t.sid; });
+    size_t pos = static_cast<size_t>(at - _tables.begin());
+    _tables.insert(at, std::move(table));
+    for (size_t i = pos; i < _tables.size(); ++i)
+        _index[_tables[i].sid] = static_cast<TableIndex>(i);
+}
 
-    _tables[sid] = std::move(table);
+void
+Vat::configure(const std::vector<CheckSpec> &specs)
+{
+    if (specs.empty())
+        return;
+    _tables.reserve(_tables.size() + specs.size());
+    if (specs.back().sid >= _index.size())
+        _index.resize(size_t{specs.back().sid} + 1, kNoTable);
+    for (const CheckSpec &spec : specs)
+        configure(spec.sid, spec.bitmask, spec.estimatedSets);
 }
 
 const Vat::Table *
 Vat::tableFor(uint16_t sid) const
 {
-    auto it = _tables.find(sid);
-    return it == _tables.end() ? nullptr : &it->second;
+    TableIndex table = tableIndex(sid);
+    return table == kNoTable ? nullptr : &_tables[table];
+}
+
+Vat::Table *
+Vat::tableFor(uint16_t sid)
+{
+    TableIndex table = tableIndex(sid);
+    return table == kNoTable ? nullptr : &_tables[table];
 }
 
 bool
 Vat::configured(uint16_t sid) const
 {
-    return tableFor(sid) != nullptr;
+    return tableIndex(sid) != kNoTable;
 }
 
 uint64_t
@@ -81,35 +114,49 @@ Vat::bitmask(uint16_t sid) const
 std::optional<VatHit>
 Vat::lookup(uint16_t sid, const ArgKey &key) const
 {
-    const Table *table = tableFor(sid);
-    if (!table)
+    TableIndex table = tableIndex(sid);
+    if (table == kNoTable)
         return std::nullopt;
-    auto found = table->cuckoo->lookup(key);
+    return lookupAt(table, key);
+}
+
+std::optional<VatHit>
+Vat::lookupAt(TableIndex table, const ArgKey &key) const
+{
+    const Table &t = _tables[table];
+    auto found = t.cuckoo.lookup(key);
     if (!found)
         return std::nullopt;
     VatHit hit;
     hit.token = VatToken{found->way, found->hash};
-    hit.address = entryAddress(sid, hit.token);
+    hit.address = entryAddress(t, hit.token);
     return hit;
 }
 
 bool
 Vat::insert(uint16_t sid, const ArgKey &key)
 {
-    auto it = _tables.find(sid);
-    if (it == _tables.end())
+    TableIndex table = tableIndex(sid);
+    if (table == kNoTable)
         panic("Vat::insert: sid %u not configured", sid);
+    return insertAt(table, key);
+}
+
+bool
+Vat::insertAt(TableIndex table, const ArgKey &key)
+{
+    Table &t = _tables[table];
     ArgKey victim;
-    uint64_t before = it->second.cuckoo->stats().displacements;
-    auto result = it->second.cuckoo->insert(key, &victim);
+    uint64_t before = t.cuckoo.stats().displacements;
+    auto result = t.cuckoo.insert(key, &victim);
     if (_tracer) {
-        _tracer->record(obs::EventKind::VatInsert, sid, 0, 0,
-                        it->second.cuckoo->stats().displacements - before);
+        _tracer->record(obs::EventKind::VatInsert, t.sid, 0, 0,
+                        t.cuckoo.stats().displacements - before);
     }
     if (result == CuckooInsert::EvictedVictim) {
         ++_evictions;
         if (_tracer)
-            _tracer->record(obs::EventKind::VatEvict, sid);
+            _tracer->record(obs::EventKind::VatEvict, t.sid);
         return true;
     }
     return false;
@@ -119,29 +166,25 @@ bool
 Vat::placeAt(uint16_t sid, CuckooWay way, uint64_t index,
              const ArgKey &key)
 {
-    auto it = _tables.find(sid);
-    if (it == _tables.end())
-        return false;
-    return it->second.cuckoo->placeAt(way, index, key);
+    Table *table = tableFor(sid);
+    return table && table->cuckoo.placeAt(way, index, key);
 }
 
 bool
 Vat::restoreTableStats(uint16_t sid, const CuckooStats &stats)
 {
-    auto it = _tables.find(sid);
-    if (it == _tables.end())
+    Table *table = tableFor(sid);
+    if (!table)
         return false;
-    it->second.cuckoo->restoreStats(stats);
+    table->cuckoo.restoreStats(stats);
     return true;
 }
 
 bool
 Vat::erase(uint16_t sid, const ArgKey &key)
 {
-    auto it = _tables.find(sid);
-    if (it == _tables.end())
-        return false;
-    return it->second.cuckoo->erase(key);
+    Table *table = tableFor(sid);
+    return table && table->cuckoo.erase(key);
 }
 
 std::optional<ArgKey>
@@ -150,7 +193,7 @@ Vat::slotContents(uint16_t sid, const VatToken &token) const
     const Table *table = tableFor(sid);
     if (!table)
         return std::nullopt;
-    const ArgKey *stored = table->cuckoo->at(token.way, token.hash);
+    const ArgKey *stored = table->cuckoo.at(token.way, token.hash);
     if (!stored)
         return std::nullopt;
     return *stored;
@@ -162,18 +205,24 @@ Vat::entryAddress(uint16_t sid, const VatToken &token) const
     const Table *table = tableFor(sid);
     if (!table)
         panic("Vat::entryAddress: sid %u not configured", sid);
-    uint64_t buckets = table->cuckoo->buckets();
+    return entryAddress(*table, token);
+}
+
+uint64_t
+Vat::entryAddress(const Table &table, const VatToken &token) const
+{
+    uint64_t buckets = table.cuckoo.buckets();
     uint64_t slot =
         static_cast<uint64_t>(token.way) * buckets + token.hash % buckets;
-    return table->baseAddr + slot * table->entryBytes;
+    return table.baseAddr + slot * table.entryBytes;
 }
 
 size_t
 Vat::footprintBytes() const
 {
     size_t total = 0;
-    for (const auto &[sid, table] : _tables)
-        total += table.cuckoo->capacity() * table.entryBytes;
+    for (const Table &table : _tables)
+        total += table.cuckoo.capacity() * table.entryBytes;
     return total;
 }
 
@@ -181,7 +230,14 @@ size_t
 Vat::setCount(uint16_t sid) const
 {
     const Table *table = tableFor(sid);
-    return table ? table->cuckoo->size() : 0;
+    return table ? table->cuckoo.size() : 0;
+}
+
+size_t
+Vat::buckets(uint16_t sid) const
+{
+    const Table *table = tableFor(sid);
+    return table ? table->cuckoo.buckets() : 0;
 }
 
 void
@@ -191,15 +247,15 @@ Vat::exportMetrics(MetricRegistry &registry,
     CuckooStats total;
     size_t sets = 0;
     size_t capacity = 0;
-    for (const auto &[sid, table] : _tables) {
-        const CuckooStats &s = table.cuckoo->stats();
+    for (const Table &table : _tables) {
+        const CuckooStats &s = table.cuckoo.stats();
         total.lookups += s.lookups;
         total.hits += s.hits;
         total.insertions += s.insertions;
         total.displacements += s.displacements;
         total.evictions += s.evictions;
-        sets += table.cuckoo->size();
-        capacity += table.cuckoo->capacity();
+        sets += table.cuckoo.size();
+        capacity += table.cuckoo.capacity();
     }
 
     auto name = [&](const char *metric) {

@@ -11,15 +11,19 @@
  * *location* (base + hash) when preloading the SLB. Tables are sized at
  * twice the estimated argument-set count, and a bounded displacement
  * chain on insert evicts one entry when full.
+ *
+ * Tables live in one vector in ascending sid order with a dense
+ * sid → position index beside it, so resolving a sid costs one load
+ * and the checker's SPT can name a table by its position (the paper's
+ * SPT Base field). A table's slots are allocated on its first insert.
  */
 
 #ifndef DRACO_CORE_VAT_HH
 #define DRACO_CORE_VAT_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <optional>
+#include <vector>
 
 #include "core/checkspec.hh"
 #include "hash/cuckoo.hh"
@@ -50,10 +54,18 @@ struct VatHit {
 class Vat
 {
   public:
+    /** Position of a table in the ascending-sid table list. */
+    using TableIndex = uint32_t;
+
+    /** TableIndex of an unconfigured sid. */
+    static constexpr TableIndex kNoTable = UINT32_MAX;
+
     Vat() = default;
 
     /**
-     * Create (or reset) the table for @p sid.
+     * Create (or reset) the table for @p sid. Each call takes a fresh
+     * base address region, so configuring in ascending sid order
+     * reproduces the same addresses run to run.
      *
      * @param sid System call ID.
      * @param bitmask Argument Bitmask; must be nonzero (ID-only syscalls
@@ -63,6 +75,20 @@ class Vat
      *        of two per way).
      */
     void configure(uint16_t sid, uint64_t bitmask, size_t estimated_sets);
+
+    /**
+     * Configure one table per entry of @p specs, which must be
+     * argument-checking and in ascending sid order — on an empty Vat,
+     * specs[k]'s table lands at TableIndex k.
+     */
+    void configure(const std::vector<CheckSpec> &specs);
+
+    /** @return Position of @p sid's table, or kNoTable. */
+    TableIndex
+    tableIndex(uint16_t sid) const
+    {
+        return sid < _index.size() ? _index[sid] : kNoTable;
+    }
 
     /** @return true when @p sid has a configured table. */
     bool configured(uint16_t sid) const;
@@ -77,12 +103,19 @@ class Vat
      */
     std::optional<VatHit> lookup(uint16_t sid, const ArgKey &key) const;
 
+    /** lookup() on the table at position @p table (must be valid). */
+    std::optional<VatHit> lookupAt(TableIndex table,
+                                   const ArgKey &key) const;
+
     /**
      * Record a freshly validated argument set.
      *
      * @return true if an existing victim was evicted to make room.
      */
     bool insert(uint16_t sid, const ArgKey &key);
+
+    /** insert() into the table at position @p table (must be valid). */
+    bool insertAt(TableIndex table, const ArgKey &key);
 
     /** Remove one validated set (used by tests and eviction studies). */
     bool erase(uint16_t sid, const ArgKey &key);
@@ -109,6 +142,9 @@ class Vat
     /** @return Validated sets currently stored for @p sid. */
     size_t setCount(uint16_t sid) const;
 
+    /** @return Slots per way of @p sid's table (0 if unconfigured). */
+    size_t buckets(uint16_t sid) const;
+
     /** @return Cumulative insert-pressure evictions across tables. */
     uint64_t evictions() const { return _evictions; }
 
@@ -123,8 +159,8 @@ class Vat
     void
     forEachTable(Fn &&fn) const
     {
-        for (const auto &[sid, table] : _tables)
-            fn(sid, table.bitmask, *table.cuckoo);
+        for (const Table &table : _tables)
+            fn(table.sid, table.bitmask, table.cuckoo);
     }
 
     /**
@@ -165,15 +201,19 @@ class Vat
 
   private:
     struct Table {
-        uint64_t bitmask = 0;
-        uint64_t baseAddr = 0;
-        size_t entryBytes = 0;
-        std::unique_ptr<CuckooTable<ArgKey>> cuckoo;
+        uint16_t sid;
+        uint64_t bitmask;
+        uint64_t baseAddr;
+        size_t entryBytes;
+        CuckooTable<ArgKey> cuckoo;
     };
 
     const Table *tableFor(uint16_t sid) const;
+    Table *tableFor(uint16_t sid);
+    uint64_t entryAddress(const Table &table, const VatToken &token) const;
 
-    std::map<uint16_t, Table> _tables;
+    std::vector<Table> _tables;      ///< Ascending sid.
+    std::vector<TableIndex> _index;  ///< sid → position in _tables.
     uint64_t _evictions = 0;
     obs::Tracer *_tracer = nullptr;
 };

@@ -55,6 +55,13 @@ struct CuckooStats {
  * buckets` in way 0 or `h2(key) % buckets` in way 1. The two hash values
  * are supplied by caller-provided functions so the owner (the VAT) can use
  * CRC-64 ECMA / ¬ECMA over the masked argument bytes.
+ *
+ * Both ways share one slot vector (way 1 follows way 0), allocated on
+ * the first insert() or placeAt(): most of a process's per-syscall
+ * tables are never written (Fig. 15), so an untouched table costs
+ * no slot memory and a lookup on an empty table misses without
+ * hashing. buckets() and capacity() report the configured geometry
+ * either way.
  */
 template <typename Key>
 class CuckooTable
@@ -78,12 +85,10 @@ class CuckooTable
     CuckooTable(size_t buckets, HashFn h1, HashFn h2,
                 unsigned max_displacements = 16)
         : _h1(std::move(h1)), _h2(std::move(h2)),
-          _maxDisplacements(max_displacements)
+          _maxDisplacements(max_displacements), _buckets(buckets)
     {
         if (buckets == 0)
             fatal("CuckooTable: bucket count must be > 0");
-        _ways[0].assign(buckets, Slot{});
-        _ways[1].assign(buckets, Slot{});
     }
 
     /**
@@ -95,6 +100,8 @@ class CuckooTable
     lookup(const Key &key) const
     {
         ++_stats.lookups;
+        if (_size == 0)
+            return std::nullopt;
         auto found = probe(key);
         if (found)
             ++_stats.hits;
@@ -118,15 +125,16 @@ class CuckooTable
     {
         // Internal presence probe: does not touch the lookup/hit
         // counters, which account externally observed traffic only.
-        if (probe(key))
+        if (_size != 0 && probe(key))
             return CuckooInsert::AlreadyPresent;
 
         ++_stats.insertions;
+        allocateSlots();
 
         // Prefer a free slot in either way before displacing anyone.
         for (unsigned w = 0; w < 2; ++w) {
             uint64_t hv = w == 0 ? _h1(key) : _h2(key);
-            Slot &slot = _ways[w][hv % buckets()];
+            Slot &slot = slotAt(w, hv % _buckets);
             if (!slot.occupied) {
                 slot.occupied = true;
                 slot.key = key;
@@ -139,7 +147,7 @@ class CuckooTable
         unsigned way = 0;
         for (unsigned step = 0; step < _maxDisplacements; ++step) {
             uint64_t hv = way == 0 ? _h1(pending) : _h2(pending);
-            Slot &slot = _ways[way][hv % buckets()];
+            Slot &slot = slotAt(way, hv % _buckets);
             if (!slot.occupied) {
                 slot.occupied = true;
                 slot.key = pending;
@@ -168,7 +176,7 @@ class CuckooTable
         auto found = lookup(key);
         if (!found)
             return false;
-        Slot &slot = _ways[static_cast<size_t>(found->way)][found->index];
+        Slot &slot = slotAt(static_cast<unsigned>(found->way), found->index);
         slot.occupied = false;
         slot.key = Key{};
         --_size;
@@ -179,9 +187,8 @@ class CuckooTable
     void
     clear()
     {
-        for (auto &way : _ways)
-            for (auto &slot : way)
-                slot = Slot{};
+        for (Slot &slot : _slots)
+            slot = Slot{};
         _size = 0;
     }
 
@@ -194,7 +201,10 @@ class CuckooTable
     const Key *
     at(CuckooWay way, uint64_t index) const
     {
-        const Slot &slot = _ways[static_cast<size_t>(way)][index % buckets()];
+        if (_slots.empty())
+            return nullptr;
+        const Slot &slot =
+            slotAt(static_cast<unsigned>(way), index % _buckets);
         return slot.occupied ? &slot.key : nullptr;
     }
 
@@ -203,26 +213,26 @@ class CuckooTable
     void
     forEach(Fn &&fn) const
     {
-        for (const auto &way : _ways)
-            for (const auto &slot : way)
-                if (slot.occupied)
-                    fn(slot.key);
+        for (const Slot &slot : _slots)
+            if (slot.occupied)
+                fn(slot.key);
     }
 
     /**
      * Invoke @p fn(way, index, key) on every occupied slot, way-major
      * then index order — the deterministic enumeration snapshot
-     * encoders serialize.
+     * encoders serialize. An empty table is not scanned.
      */
     template <typename Fn>
     void
     forEachSlot(Fn &&fn) const
     {
-        for (unsigned w = 0; w < 2; ++w)
-            for (size_t i = 0; i < _ways[w].size(); ++i)
-                if (_ways[w][i].occupied)
-                    fn(static_cast<CuckooWay>(w),
-                       static_cast<uint64_t>(i), _ways[w][i].key);
+        if (_size == 0)
+            return;
+        for (size_t s = 0; s < _slots.size(); ++s)
+            if (_slots[s].occupied)
+                fn(static_cast<CuckooWay>(s / _buckets),
+                   static_cast<uint64_t>(s % _buckets), _slots[s].key);
     }
 
     /**
@@ -237,9 +247,10 @@ class CuckooTable
     bool
     placeAt(CuckooWay way, uint64_t index, const Key &key)
     {
-        if (index >= buckets())
+        if (index >= _buckets)
             return false;
-        Slot &slot = _ways[static_cast<size_t>(way)][index];
+        allocateSlots();
+        Slot &slot = slotAt(static_cast<unsigned>(way), index);
         if (slot.occupied)
             return false;
         slot.occupied = true;
@@ -255,7 +266,7 @@ class CuckooTable
     size_t size() const { return _size; }
 
     /** @return Slots per way. */
-    size_t buckets() const { return _ways[0].size(); }
+    size_t buckets() const { return _buckets; }
 
     /** @return Total slot capacity (2 × buckets). */
     size_t capacity() const { return 2 * buckets(); }
@@ -292,18 +303,41 @@ class CuckooTable
         Key key{};
     };
 
-    /** Stat-free presence probe shared by lookup() and insert(). */
+    /** Allocate both ways' slots on first write. */
+    void
+    allocateSlots()
+    {
+        if (_slots.empty())
+            _slots.resize(2 * _buckets);
+    }
+
+    Slot &
+    slotAt(unsigned way, uint64_t index)
+    {
+        return _slots[way * _buckets + index];
+    }
+
+    const Slot &
+    slotAt(unsigned way, uint64_t index) const
+    {
+        return _slots[way * _buckets + index];
+    }
+
+    /**
+     * Stat-free presence probe shared by lookup() and insert(); the
+     * caller guarantees the table holds at least one key.
+     */
     std::optional<Found>
     probe(const Key &key) const
     {
         uint64_t hv1 = _h1(key);
-        uint64_t idx1 = hv1 % buckets();
-        const Slot &s1 = _ways[0][idx1];
+        uint64_t idx1 = hv1 % _buckets;
+        const Slot &s1 = slotAt(0, idx1);
         if (s1.occupied && s1.key == key)
             return Found{CuckooWay::H1, hv1, idx1};
         uint64_t hv2 = _h2(key);
-        uint64_t idx2 = hv2 % buckets();
-        const Slot &s2 = _ways[1][idx2];
+        uint64_t idx2 = hv2 % _buckets;
+        const Slot &s2 = slotAt(1, idx2);
         if (s2.occupied && s2.key == key)
             return Found{CuckooWay::H2, hv2, idx2};
         return std::nullopt;
@@ -312,7 +346,8 @@ class CuckooTable
     HashFn _h1;
     HashFn _h2;
     unsigned _maxDisplacements;
-    std::vector<Slot> _ways[2];
+    size_t _buckets;
+    std::vector<Slot> _slots; ///< Way 0 then way 1; empty until written.
     size_t _size = 0;
     mutable CuckooStats _stats;
 };

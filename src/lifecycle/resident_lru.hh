@@ -22,15 +22,19 @@ namespace draco::lifecycle {
 class ResidentLru
 {
   public:
-    /** Mark @p id most-recently-used (inserting it when absent). */
+    /**
+     * Mark @p id most-recently-used (inserting it when absent). A
+     * tracked id's node is re-linked in place, so a repeat touch
+     * allocates nothing.
+     */
     void
     touch(uint32_t id)
     {
-        auto it = _where.find(id);
-        if (it != _where.end())
-            _order.erase(it->second);
-        _order.push_back(id);
-        _where[id] = std::prev(_order.end());
+        auto [it, inserted] = _where.try_emplace(id);
+        if (inserted)
+            it->second = _order.insert(_order.end(), id);
+        else
+            _order.splice(_order.end(), _order, it->second);
     }
 
     /** Remove @p id. @return false when it was not tracked. */

@@ -1,5 +1,6 @@
 #include "lifecycle/store.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,14 +16,13 @@ namespace fs = std::filesystem;
 
 bool
 MemorySnapshotStore::put(const std::string &key,
-                         const std::vector<uint8_t> &bytes)
+                         std::vector<uint8_t> bytes)
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    auto it = _entries.find(key);
-    if (it != _entries.end())
-        _bytes -= it->second.size();
+    std::vector<uint8_t> &entry = _entries[key];
+    _bytes -= entry.size();
     _bytes += bytes.size();
-    _entries[key] = bytes;
+    entry = std::move(bytes);
     return true;
 }
 
@@ -58,6 +58,7 @@ MemorySnapshotStore::keys() const
     out.reserve(_entries.size());
     for (const auto &[key, bytes] : _entries)
         out.push_back(key);
+    std::sort(out.begin(), out.end());
     return out;
 }
 
@@ -156,8 +157,7 @@ DirSnapshotStore::pathFor(const std::string &key) const
 }
 
 bool
-DirSnapshotStore::put(const std::string &key,
-                      const std::vector<uint8_t> &bytes)
+DirSnapshotStore::put(const std::string &key, std::vector<uint8_t> bytes)
 {
     if (!_ok)
         return false;

@@ -8,8 +8,8 @@
  * put, rebuild fresh on a failed get) means a flaky backend can cost
  * warm-up time but never a wrong verdict. Two backends:
  *
- *  - MemorySnapshotStore: a mutex-guarded map; the default when dracod
- *    runs without --snapshot-dir, and what the benches use.
+ *  - MemorySnapshotStore: a mutex-guarded hash map; the default when
+ *    dracod runs without --snapshot-dir, and what the benches use.
  *  - DirSnapshotStore: one `<dir>/<sanitized-key>-<hash>.dtss` file
  *    per tenant, written tmp-then-rename so a crash mid-put never
  *    leaves a torn snapshot under the final name.
@@ -22,6 +22,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace draco::lifecycle {
@@ -37,9 +38,12 @@ class SnapshotStore
   public:
     virtual ~SnapshotStore() = default;
 
-    /** Store @p bytes under @p key (replacing any prior value). */
+    /**
+     * Store @p bytes under @p key (replacing any prior value). Taken by
+     * value so a caller done with its buffer can move it in.
+     */
     virtual bool put(const std::string &key,
-                     const std::vector<uint8_t> &bytes) = 0;
+                     std::vector<uint8_t> bytes) = 0;
 
     /** Load the value of @p key. @return false when absent/unreadable. */
     virtual bool get(const std::string &key,
@@ -58,12 +62,11 @@ class SnapshotStore
     virtual const char *kind() const = 0;
 };
 
-/** In-memory backend. */
+/** In-memory backend; keys() sorts on demand. */
 class MemorySnapshotStore final : public SnapshotStore
 {
   public:
-    bool put(const std::string &key,
-             const std::vector<uint8_t> &bytes) override;
+    bool put(const std::string &key, std::vector<uint8_t> bytes) override;
     bool get(const std::string &key,
              std::vector<uint8_t> &bytes) const override;
     bool remove(const std::string &key) override;
@@ -73,7 +76,7 @@ class MemorySnapshotStore final : public SnapshotStore
 
   private:
     mutable std::mutex _mutex;
-    std::map<std::string, std::vector<uint8_t>> _entries;
+    std::unordered_map<std::string, std::vector<uint8_t>> _entries;
     uint64_t _bytes = 0;
 };
 
@@ -93,8 +96,7 @@ class DirSnapshotStore final : public SnapshotStore
     /** @return The file a snapshot for @p key lives in. */
     std::string pathFor(const std::string &key) const;
 
-    bool put(const std::string &key,
-             const std::vector<uint8_t> &bytes) override;
+    bool put(const std::string &key, std::vector<uint8_t> bytes) override;
     bool get(const std::string &key,
              std::vector<uint8_t> &bytes) const override;
     bool remove(const std::string &key) override;

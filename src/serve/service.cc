@@ -756,7 +756,8 @@ CheckService::enforceResidentCap(Shard &shard)
 
         std::vector<uint8_t> bytes = lifecycle::encodeSnapshot(
             victim->name, *victim->checker, victim->opts.filterCopies);
-        if (!_store || !_store->put(victim->name, bytes)) {
+        const size_t snapshotBytes = bytes.size();
+        if (!_store || !_store->put(victim->name, std::move(bytes))) {
             // Keep the victim resident rather than drop state we could
             // not persist; re-touch it hottest so the next pass tries a
             // different victim first.
@@ -772,11 +773,11 @@ CheckService::enforceResidentCap(Shard &shard)
         victim->hasSnapshot = true;
         _snapshotted.fetch_add(1, std::memory_order_relaxed);
         _evictions.fetch_add(1, std::memory_order_relaxed);
-        _snapshotBytesWritten.fetch_add(bytes.size(),
+        _snapshotBytesWritten.fetch_add(snapshotBytes,
                                         std::memory_order_relaxed);
         if (shard.tracer)
             shard.tracer->record(obs::EventKind::TenantSnapshot, 0, 0, 0,
-                                 bytes.size());
+                                 snapshotBytes);
     }
     shard.resident.store(static_cast<uint32_t>(shard.lru.size()),
                          std::memory_order_relaxed);

@@ -9,7 +9,9 @@
  * around a running predecessor, and varint-length-prefixed byte strings
  * for names. Keeping the primitives here guarantees the formats stay
  * bit-compatible with each other's framing and that a fix to bounds
- * checking lands in every decoder at once.
+ * checking lands in every decoder at once. Decoders read from a span,
+ * so a block inside a larger file decodes in place, bounded by its own
+ * end rather than the file's.
  */
 
 #ifndef DRACO_SUPPORT_BINIO_HH
@@ -17,6 +19,7 @@
 
 #include <cstdint>
 #include <istream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -96,7 +99,7 @@ putDelta(std::vector<uint8_t> &out, uint64_t now, uint64_t prev)
  *         exceed 64 bits.
  */
 inline bool
-takeVarint(const std::vector<uint8_t> &buf, size_t &pos, uint64_t &out)
+takeVarint(std::span<const uint8_t> buf, size_t &pos, uint64_t &out)
 {
     out = 0;
     unsigned shift = 0;
@@ -112,7 +115,7 @@ takeVarint(const std::vector<uint8_t> &buf, size_t &pos, uint64_t &out)
 
 /** Decode one byte from @p buf at @p pos (advanced past it). */
 inline bool
-takeU8(const std::vector<uint8_t> &buf, size_t &pos, uint8_t &out)
+takeU8(std::span<const uint8_t> buf, size_t &pos, uint8_t &out)
 {
     if (pos >= buf.size())
         return false;
@@ -122,7 +125,7 @@ takeU8(const std::vector<uint8_t> &buf, size_t &pos, uint8_t &out)
 
 /** Decode a 2-byte little-endian integer from @p buf at @p pos. */
 inline bool
-takeU16(const std::vector<uint8_t> &buf, size_t &pos, uint16_t &out)
+takeU16(std::span<const uint8_t> buf, size_t &pos, uint16_t &out)
 {
     if (pos + 2 > buf.size())
         return false;
@@ -135,7 +138,7 @@ takeU16(const std::vector<uint8_t> &buf, size_t &pos, uint16_t &out)
 
 /** Decode a 4-byte little-endian integer from @p buf at @p pos. */
 inline bool
-takeU32(const std::vector<uint8_t> &buf, size_t &pos, uint32_t &out)
+takeU32(std::span<const uint8_t> buf, size_t &pos, uint32_t &out)
 {
     if (pos + 4 > buf.size())
         return false;
@@ -148,7 +151,7 @@ takeU32(const std::vector<uint8_t> &buf, size_t &pos, uint32_t &out)
 
 /** Decode an 8-byte little-endian integer from @p buf at @p pos. */
 inline bool
-takeU64(const std::vector<uint8_t> &buf, size_t &pos, uint64_t &out)
+takeU64(std::span<const uint8_t> buf, size_t &pos, uint64_t &out)
 {
     if (pos + 8 > buf.size())
         return false;
@@ -177,7 +180,7 @@ putString(std::vector<uint8_t> &out, const std::string &s)
  *         @p maxLen.
  */
 inline bool
-takeString(const std::vector<uint8_t> &buf, size_t &pos,
+takeString(std::span<const uint8_t> buf, size_t &pos,
            std::string &out, size_t maxLen = 4096)
 {
     uint64_t len;
@@ -193,7 +196,7 @@ takeString(const std::vector<uint8_t> &buf, size_t &pos,
 
 /** Decode one zigzag delta and apply it to @p prev. */
 inline bool
-takeDelta(const std::vector<uint8_t> &buf, size_t &pos, uint64_t prev,
+takeDelta(std::span<const uint8_t> buf, size_t &pos, uint64_t prev,
           uint64_t &out)
 {
     uint64_t zigzag;

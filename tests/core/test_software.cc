@@ -81,6 +81,47 @@ TEST(DracoSw, DisallowedSyscallDenied)
     EXPECT_GT(out.filterInsns, 0u);
 }
 
+TEST(DracoSw, SidPastTheSptTakesTheFilterPath)
+{
+    DracoSoftwareChecker draco(readProfile());
+    auto out = draco.check(request(65535, {3, 0, 64}));
+    EXPECT_FALSE(out.allowed);
+    EXPECT_EQ(out.path, SwPath::FilterDenied);
+    EXPECT_GT(out.filterInsns, 0u);
+    EXPECT_EQ(out.vatProbes, 0u);
+}
+
+TEST(DracoSw, CompiledPolicyLaysOutSptAndVat)
+{
+    auto policy = CompiledPolicy::compile(seccomp::gvisorProfile());
+    DracoSoftwareChecker draco(policy);
+    ASSERT_EQ(policy->spt.size(), size_t{policy->specs.rbegin()->first} + 1);
+    size_t valid = 0;
+    for (size_t sid = 0; sid < policy->spt.size(); ++sid) {
+        const SptEntry *entry = policy->sptEntry(static_cast<uint16_t>(sid));
+        auto it = policy->specs.find(static_cast<uint16_t>(sid));
+        if (it == policy->specs.end()) {
+            EXPECT_EQ(entry, nullptr) << sid;
+            continue;
+        }
+        ASSERT_NE(entry, nullptr) << sid;
+        ++valid;
+        EXPECT_EQ(entry->bitmask, it->second.bitmask) << sid;
+        // The SPT names each table by its position in the checker's VAT.
+        EXPECT_EQ(entry->vatTable,
+                  draco.vat().tableIndex(static_cast<uint16_t>(sid)))
+            << sid;
+    }
+    EXPECT_EQ(valid, policy->specs.size());
+    EXPECT_EQ(policy->argSpecs.size(), draco.vat().tableCount());
+    for (size_t k = 0; k < policy->argSpecs.size(); ++k) {
+        EXPECT_TRUE(policy->argSpecs[k].checksArguments());
+        if (k > 0) {
+            EXPECT_LT(policy->argSpecs[k - 1].sid, policy->argSpecs[k].sid);
+        }
+    }
+}
+
 TEST(DracoSw, StatsAccumulate)
 {
     DracoSoftwareChecker draco(readProfile());

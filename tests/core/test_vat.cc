@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/vat.hh"
 #include "hash/crc64.hh"
 #include "support/random.hh"
@@ -168,6 +170,53 @@ TEST(Vat, FootprintScalesWithTables)
     vat.configure(1, kReadMask, 8);
     EXPECT_EQ(vat.footprintBytes(), 2 * one);
     EXPECT_EQ(vat.tableCount(), 2u);
+}
+
+TEST(Vat, FootprintIsTheSameBeforeAndAfterTheFirstInsert)
+{
+    Vat vat;
+    vat.configure(0, kReadMask, 8);
+    vat.configure(5, kReadMask, 3);
+    size_t before = vat.footprintBytes();
+    vat.insert(5, keyOf(kReadMask, 3, 64));
+    EXPECT_EQ(vat.footprintBytes(), before);
+    EXPECT_EQ(vat.setCount(5), 1u);
+    EXPECT_EQ(vat.setCount(0), 0u);
+}
+
+TEST(Vat, OutOfOrderConfigureEnumeratesAscending)
+{
+    Vat vat;
+    vat.configure(40, kReadMask, 4);
+    vat.configure(7, kReadMask, 4);
+    vat.configure(300, kReadMask, 4);
+    vat.configure(12, kReadMask, 4);
+    std::vector<uint16_t> order;
+    vat.forEachTable([&](uint16_t sid, uint64_t,
+                         const CuckooTable<ArgKey> &) {
+        order.push_back(sid);
+    });
+    EXPECT_EQ(order, (std::vector<uint16_t>{7, 12, 40, 300}));
+    for (size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(vat.tableIndex(order[i]), i);
+    EXPECT_EQ(vat.tableIndex(8), Vat::kNoTable);
+    EXPECT_EQ(vat.tableIndex(301), Vat::kNoTable);
+    EXPECT_EQ(vat.tableIndex(65535), Vat::kNoTable);
+
+    // Each sid still resolves to its own table after the reordering.
+    ArgKey key = keyOf(kReadMask, 3, 64);
+    vat.insert(40, key);
+    EXPECT_TRUE(vat.lookup(40, key));
+    EXPECT_FALSE(vat.lookup(12, key));
+    EXPECT_FALSE(vat.lookup(300, key));
+
+    // Configuring a sid again resets just that table.
+    vat.insert(300, key);
+    vat.configure(40, kReadMask, 16);
+    EXPECT_FALSE(vat.lookup(40, key));
+    EXPECT_EQ(vat.buckets(40), 16u);
+    EXPECT_TRUE(vat.lookup(300, key));
+    EXPECT_EQ(vat.tableCount(), 4u);
 }
 
 TEST(Vat, DistinctSidsIsolated)

@@ -101,6 +101,60 @@ TEST(Cuckoo, AtOnEmptySlotIsNull)
     EXPECT_EQ(t.at(CuckooWay::H1, 3), nullptr);
 }
 
+TEST(Cuckoo, UntouchedTableIsEmptyEverywhere)
+{
+    auto t = makeTable(8);
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_EQ(t.buckets(), 8u);
+    EXPECT_EQ(t.capacity(), 16u);
+    for (uint64_t i = 0; i < t.buckets(); ++i) {
+        EXPECT_EQ(t.at(CuckooWay::H1, i), nullptr);
+        EXPECT_EQ(t.at(CuckooWay::H2, i), nullptr);
+    }
+    unsigned slots = 0;
+    t.forEachSlot([&](CuckooWay, uint64_t, const uint64_t &) { ++slots; });
+    EXPECT_EQ(slots, 0u);
+}
+
+TEST(Cuckoo, LookupOnEmptyTableCountsButDoesNotHash)
+{
+    unsigned hashes = 0;
+    auto counting = [&hashes](const uint64_t &k) {
+        ++hashes;
+        return k;
+    };
+    CuckooTable<uint64_t> t(8, counting, counting);
+    EXPECT_FALSE(t.lookup(5).has_value());
+    EXPECT_EQ(t.stats().lookups, 1u);
+    EXPECT_EQ(t.stats().hits, 0u);
+    EXPECT_EQ(hashes, 0u);
+
+    // Once a key is stored, lookups hash again.
+    t.insert(5);
+    hashes = 0;
+    EXPECT_TRUE(t.lookup(5).has_value());
+    EXPECT_GT(hashes, 0u);
+    EXPECT_EQ(t.stats().lookups, 2u);
+    EXPECT_EQ(t.stats().hits, 1u);
+}
+
+TEST(Cuckoo, FirstWriteAllocatesSlots)
+{
+    auto placed = makeTable(8);
+    EXPECT_TRUE(placed.placeAt(CuckooWay::H2, 7, 42));
+    EXPECT_EQ(placed.size(), 1u);
+    ASSERT_NE(placed.at(CuckooWay::H2, 7), nullptr);
+    EXPECT_EQ(*placed.at(CuckooWay::H2, 7), 42u);
+    EXPECT_EQ(placed.at(CuckooWay::H1, 7), nullptr);
+    EXPECT_FALSE(placed.placeAt(CuckooWay::H2, 7, 43));
+    EXPECT_FALSE(makeTable(8).placeAt(CuckooWay::H1, 8, 1));
+
+    auto inserted = makeTable(8);
+    EXPECT_EQ(inserted.insert(42), CuckooInsert::Inserted);
+    EXPECT_TRUE(inserted.contains(42));
+    EXPECT_EQ(inserted.size(), 1u);
+}
+
 TEST(Cuckoo, DisplacementKeepsAllKeysFindable)
 {
     // Fill to half capacity; every non-evicted key must remain findable

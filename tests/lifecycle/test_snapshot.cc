@@ -8,13 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "core/software.hh"
+#include "hash/crc64.hh"
 #include "lifecycle/snapshot.hh"
 #include "os/syscalls.hh"
 #include "seccomp/profile.hh"
+#include "seccomp/profiles_builtin.hh"
+#include "workload/appmodel.hh"
+#include "workload/generator.hh"
 
 namespace draco::lifecycle {
 namespace {
@@ -268,6 +273,83 @@ TEST(Snapshot, PeekPolicyKeyRejectsCorruptHeaders)
                                      static_cast<ptrdiff_t>(len));
         EXPECT_FALSE(peekSnapshotPolicyKey(cut, key, &error))
             << "prefix of " << len << " bytes peeked";
+    }
+}
+
+/**
+ * Warm-up traffic for a builtin profile: a fixed seeded app stream,
+ * plus one request per tuple or value the profile's argument rules
+ * whitelist, so every profile ends with occupied VAT slots.
+ */
+std::vector<os::SyscallRequest>
+goldenStream(const seccomp::Profile &profile)
+{
+    std::vector<os::SyscallRequest> reqs;
+    for (const workload::AppModel &app : workload::macroWorkloads()) {
+        workload::TraceGenerator gen(app, 20201017);
+        for (int i = 0; i < 400; ++i)
+            reqs.push_back(gen.next().req);
+    }
+    for (const auto &[sid, rule] : profile.rules()) {
+        for (const seccomp::ArgVector &tuple : rule.tuples) {
+            os::SyscallRequest req = request(sid);
+            std::copy(tuple.begin(), tuple.end(), req.args.begin());
+            reqs.push_back(req);
+        }
+        size_t widest = 0;
+        for (const auto &[arg, values] : rule.perArg)
+            widest = std::max(widest, values.size());
+        for (size_t i = 0; i < widest; ++i) {
+            os::SyscallRequest req = request(sid);
+            for (const auto &[arg, values] : rule.perArg)
+                req.args[arg] = values[i % values.size()];
+            reqs.push_back(req);
+        }
+    }
+    return reqs;
+}
+
+TEST(Snapshot, GoldenBytesArePinned)
+{
+    // CRC-64 (ECMA) of each encoding, pinned when the format was
+    // frozen: a codec rewrite must leave every byte where it was.
+    struct Golden {
+        seccomp::Profile profile;
+        uint64_t crc;
+        size_t bytes;
+    };
+    const Golden goldens[] = {
+        {seccomp::dockerDefaultProfile(), 0x0e13b3df6d9ca29aULL, 208},
+        {seccomp::gvisorProfile(), 0x6125ec7a0312fdd9ULL, 2406},
+        {seccomp::firecrackerProfile(), 0x4511a400017455b5ULL, 280},
+    };
+    for (const Golden &golden : goldens) {
+        SCOPED_TRACE(golden.profile.name());
+        auto policy = core::CompiledPolicy::compile(golden.profile);
+        core::DracoSoftwareChecker checker(policy);
+        for (const os::SyscallRequest &req : goldenStream(golden.profile))
+            checker.check(req);
+        std::vector<uint8_t> bytes =
+            encodeSnapshot("golden-tenant", checker, 1);
+
+        SnapshotInfo info;
+        std::string error;
+        ASSERT_TRUE(inspectSnapshot(bytes, info, &error)) << error;
+        uint64_t sets = 0;
+        for (const SnapshotTableInfo &table : info.tables)
+            sets += table.sets;
+        EXPECT_GT(sets, 0u);
+
+        uint64_t crc = crc64Ecma().compute(bytes.data(), bytes.size());
+        EXPECT_EQ(crc, golden.crc);
+        EXPECT_EQ(bytes.size(), golden.bytes);
+
+        core::DracoSoftwareChecker restored(policy);
+        ASSERT_TRUE(restoreSnapshot(bytes, "golden-tenant",
+                                    policy->programKey, 1, restored,
+                                    &error))
+            << error;
+        EXPECT_EQ(encodeSnapshot("golden-tenant", restored, 1), bytes);
     }
 }
 
