@@ -46,7 +46,8 @@ LocalClient::checkBatch(TenantId id, const os::SyscallRequest *reqs,
                         uint32_t count, CheckResponse *resps)
 {
     Batch batch;
-    _service.submitBatch(id, reqs, count, resps, batch);
+    _service.submitBatch(id, reqs, count, resps, batch, nullptr,
+                         DrainOn::CallerIfIdle);
     batch.wait();
     return true;
 }

@@ -22,6 +22,9 @@ unixOnly(std::string path)
     return options;
 }
 
+/** The Loop whose thread this is, or null off the loop threads. */
+thread_local const void *tCurrentLoop = nullptr;
+
 } // namespace
 
 /** One accepted connection; loop-thread-only after adoption. */
@@ -85,7 +88,8 @@ struct SocketServer::Loop {
     size_t index = 0; ///< This loop's slot in the ServeObs hub.
 
     std::mutex mutex; ///< Guards inbox and pendingAdopt.
-    std::vector<Reply> inbox; ///< Completions from shard workers.
+    /** Completed batches' replies, from shard workers and this loop. */
+    std::vector<Reply> inbox;
     std::vector<std::unique_ptr<Conn>> pendingAdopt; ///< From accept.
 
     std::list<std::unique_ptr<Conn>> conns; ///< Loop-thread-only.
@@ -198,6 +202,7 @@ SocketServer::loopMain(size_t index)
 {
     ScopedLogContext logContext("dracod/loop");
     Loop &loop = *_loops[index];
+    tCurrentLoop = &loop;
     std::vector<epoll_event> events;
     std::vector<uint8_t> chunk(64 * 1024);
     bool listenersLive = (index == 0);
@@ -657,8 +662,9 @@ SocketServer::handleFrame(Loop &loop, Conn *conn,
         return true;
       }
       case wire::MsgType::CheckBatch: {
-        // The reply is produced by the shard worker when the batch
-        // completes; the loop keeps decoding further frames, so one
+        // The reply is produced by whichever thread drains the batch:
+        // this loop for a lone frame on an idle shard, else the shard
+        // worker. The loop keeps decoding further frames, so one
         // connection can pipeline many batches.
         struct Pending {
             wire::CheckBatchReply reply;
@@ -690,15 +696,12 @@ SocketServer::handleFrame(Loop &loop, Conn *conn,
         }
         Loop *owner = &loop;
         ctx->batch.onComplete([owner, conn, ctx] {
-            // Runs on whichever thread completes the batch (a shard
-            // worker, or the loop thread inline when the batch is
-            // fully shed). It must not touch Conn state: the framed
-            // reply goes through the owning loop's inbox and the loop
-            // alone decrements inflight — which also keeps `conn`
-            // alive until this reply has been pumped. The eventfd is
-            // signalled under the inbox mutex so the loop cannot pump
-            // this entry, finish draining, and let the server be
-            // destroyed between our push and the wakeup write.
+            // Runs on whichever thread completes the batch: a shard
+            // worker, or this loop inside submitBatch when it ran the
+            // drain or shed the batch. It must not touch Conn state:
+            // the framed reply goes through the owning loop's inbox and
+            // the loop alone decrements inflight — which also keeps
+            // `conn` alive until this reply has been pumped.
             std::vector<uint8_t> buf;
             wire::encode(buf, ctx->reply);
             std::vector<uint8_t> frame;
@@ -711,14 +714,31 @@ SocketServer::handleFrame(Loop &loop, Conn *conn,
                 entry.hasRec = true;
                 entry.rec = ctx->rec;
             }
+            // Wake the loop only when this push makes the inbox
+            // non-empty: the loop swaps the whole inbox under this
+            // mutex, so a non-empty inbox already has a wakeup pending,
+            // and on the loop's own thread the pump at the end of the
+            // current iteration takes it. The eventfd is signalled under
+            // the inbox mutex so the loop cannot pump this entry, finish
+            // draining, and let the server be destroyed between our
+            // push and the wakeup write.
             std::lock_guard<std::mutex> lock(owner->mutex);
+            const bool wasEmpty = owner->inbox.empty();
             owner->inbox.push_back(std::move(entry));
-            owner->wake.signal();
+            if (wasEmpty && tCurrentLoop != owner)
+                owner->wake.signal();
         });
+        // A lone frame — nothing buffered behind it — may run on this
+        // loop when its shard is idle, skipping the queue handoff and
+        // both wakeups. Frames with more behind them queue, so a
+        // pipelined burst still spreads over the shard workers while
+        // the loop keeps parsing.
+        const DrainOn drainOn = conn->parser.buffered() == 0
+            ? DrainOn::CallerIfIdle : DrainOn::Worker;
         _service.submitBatch(tenantId, ctx->reqs.data(),
                              static_cast<uint32_t>(ctx->reqs.size()),
                              ctx->reply.resps.data(), ctx->batch,
-                             ctx->hasRec ? &ctx->rec : nullptr);
+                             ctx->hasRec ? &ctx->rec : nullptr, drainOn);
         return true;
       }
       case wire::MsgType::TenantStatsReq: {

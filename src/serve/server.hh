@@ -8,11 +8,16 @@
  * design, the frontend is an epoll event loop: a small fixed pool of
  * loop threads owns all connections, every fd is non-blocking, and
  * each connection carries its own incremental frame parser and staged
- * output buffer. Control messages answer inline on the loop thread;
- * CheckBatch replies are produced by shard workers as batches complete
- * and handed back to the owning loop through a per-loop MPSC inbox
- * woken by an eventfd — so one connection can pipeline many batches
- * and thousands of connections cost threads only in the fixed pool.
+ * output buffer. Control messages answer inline on the loop thread.
+ * A CheckBatch that arrives alone — nothing buffered behind it on its
+ * connection — while its shard is idle is checked on the loop thread
+ * itself (CheckService::submitBatch with DrainOn::CallerIfIdle), which
+ * is what a lock-step client always sends. Every other CheckBatch
+ * queues to its shard worker, whose completion hands the reply back to
+ * the owning loop through a per-loop MPSC inbox woken by an eventfd —
+ * so one connection can pipeline many batches and thousands of
+ * connections cost threads only in the fixed pool. Either way the
+ * reply goes through the inbox and the loop flushes it.
  *
  * Connection teardown is a state machine, not a join: Open →
  * Draining → reaped. A client disconnect (EOF or half-close) stops
@@ -192,11 +197,12 @@ class SocketServer
      * plus its epoll set, eventfd, MPSC inbox of completed-batch
      * replies, and adoption queue of freshly accepted connections.
      * After adoption every Conn field is owned by its loop thread;
-     * shard workers never touch a Conn — completed batches travel
-     * through the loop's inbox, and the conn pointer they carry stays
-     * valid because a connection is only reaped once its in-flight
-     * count (decremented exclusively by the loop while pumping that
-     * inbox) reaches zero. Both are defined in server.cc.
+     * batch completions never touch a Conn, whichever thread runs
+     * them — completed batches travel through the loop's inbox, and
+     * the conn pointer they carry stays valid because a connection is
+     * only reaped once its in-flight count (decremented exclusively by
+     * the loop while pumping that inbox) reaches zero. Both are
+     * defined in server.cc.
      */
     struct Conn;
     struct Loop;

@@ -197,7 +197,7 @@ CheckService::createTenant(const std::string &name,
     auto epoch = state->epochs.install(_epochs.intern(profile));
     if (!lifecycleEnabled()) {
         // No resident cap: build the mutable half eagerly, as before.
-        // Under a cap the owning shard worker materializes it on the
+        // Under a cap the owning shard's drain materializes it on the
         // tenant's first request (and may drop it again later).
         state->checker = std::make_unique<core::DracoSoftwareChecker>(
             epoch->policy, state->opts.filterCopies);
@@ -241,22 +241,31 @@ CheckService::shed(TenantState *t, CheckResponse *resps, uint32_t count,
     batch.complete(count);
 }
 
-bool
-CheckService::enqueue(Shard &shard, Item item)
+CheckService::Admit
+CheckService::enqueue(Shard &shard, const Item &item, DrainOn drainOn)
 {
     bool isCheck = item.op == Op::Check;
     uint32_t charge = itemRequests(item.count, isCheck);
+    bool wakeWorker = false;
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
         if (_stopping.load())
-            return false;
+            return Admit::Shed;
         // Control items (Stats/Evict) are never shed: the control plane
         // must stay responsive under data-plane overload.
         if (isCheck &&
             shard.queuedRequests + charge > _options.queueCapacity) {
             shard.queueFullRejects += charge;
             shard.rejects.fetch_add(charge, std::memory_order_relaxed);
-            return false;
+            return Admit::Shed;
+        }
+        // An empty queue and a clear busy flag mean every batch
+        // admitted before this one has finished its drain, so running
+        // this one here keeps the tenant's FIFO order.
+        if (drainOn == DrainOn::CallerIfIdle && !shard.busy &&
+            shard.queue.empty()) {
+            shard.busy = true;
+            return Admit::Claimed;
         }
         shard.queue.push_back(item);
         shard.queuedRequests += charge;
@@ -264,15 +273,34 @@ CheckService::enqueue(Shard &shard, Item item)
                           std::memory_order_relaxed);
         shard.peakDepth = std::max(shard.peakDepth, shard.queuedRequests);
         shard.depthStat.add(shard.queuedRequests);
+        // A busy holder looks at the queue again before it lets go
+        // (shardLoop, releaseShard), so only an idle worker needs a
+        // wakeup.
+        wakeWorker = !shard.busy;
     }
-    shard.wake.notify_one();
-    return true;
+    if (wakeWorker)
+        shard.wake.notify_one();
+    return Admit::Queued;
+}
+
+void
+CheckService::releaseShard(Shard &shard)
+{
+    bool wakeWorker;
+    {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        shard.busy = false;
+        wakeWorker = !shard.queue.empty() || _stopping.load();
+    }
+    if (wakeWorker)
+        shard.wake.notify_one();
 }
 
 void
 CheckService::submitBatch(TenantId id, const os::SyscallRequest *reqs,
                           uint32_t count, CheckResponse *resps,
-                          Batch &batch, obs::StageRecord *obsRec)
+                          Batch &batch, obs::StageRecord *obsRec,
+                          DrainOn drainOn)
 {
     if (count == 0)
         return;
@@ -332,7 +360,11 @@ CheckService::submitBatch(TenantId id, const os::SyscallRequest *reqs,
     item.count = count;
     item.batch = &batch;
     item.rec = obsRec;
-    if (!enqueue(shard, item)) {
+    const Admit admit = enqueue(shard, item, drainOn);
+    if (admit == Admit::Claimed) {
+        process(shard, std::span<Item>(&item, 1), true);
+        releaseShard(shard);
+    } else if (admit == Admit::Shed) {
         t->inFlight.fetch_sub(count, std::memory_order_acq_rel);
         CheckStatus status = _stopping.load()
             ? CheckStatus::ShuttingDown : CheckStatus::Overloaded;
@@ -355,7 +387,7 @@ CheckService::check(TenantId id, const os::SyscallRequest &req)
 {
     CheckResponse resp;
     Batch batch;
-    submitBatch(id, &req, 1, &resp, batch);
+    submitBatch(id, &req, 1, &resp, batch, nullptr, DrainOn::CallerIfIdle);
     batch.wait();
     return resp;
 }
@@ -395,7 +427,7 @@ CheckService::tenantStats(TenantId id, TenantStats &out)
     item.tenant = t;
     item.batch = &batch;
     item.statsOut = &out;
-    if (!enqueue(*_shards[t->shard], item)) {
+    if (enqueue(*_shards[t->shard], item) == Admit::Shed) {
         batch.complete(1);
         snapshotTenant(*t, out);
         return true;
@@ -428,7 +460,7 @@ CheckService::evictTenant(TenantId id)
     item.op = Op::Evict;
     item.tenant = t;
     item.batch = &batch;
-    if (!enqueue(*_shards[t->shard], item)) {
+    if (enqueue(*_shards[t->shard], item) == Admit::Shed) {
         // Stopping: leave the checker for the service dtor — a worker
         // may still be draining this tenant's queued requests.
         batch.complete(1);
@@ -467,7 +499,7 @@ CheckService::swapProfile(TenantId id, const seccomp::Profile &profile,
     item.batch = &batch;
     item.swapPolicy = std::move(compiled);
     item.epochOut = epochOut;
-    if (!enqueue(*_shards[t->shard], item)) {
+    if (enqueue(*_shards[t->shard], item) == Admit::Shed) {
         // Stopping: no worker will publish; fail rather than mutate
         // tenant state off its owning thread.
         batch.complete(1);
@@ -486,14 +518,22 @@ CheckService::shardLoop(size_t index)
     std::vector<Item> items;
     items.reserve(_options.maxBatch);
 
+    bool held = false; // This thread set shard.busy.
     for (;;) {
         {
             std::unique_lock<std::mutex> lock(shard.mutex);
+            if (held) {
+                shard.busy = false;
+                held = false;
+            }
+            // A submitter running its own drain holds busy; wait for
+            // it to let go before popping, so drains never overlap.
             shard.wake.wait(lock, [&] {
-                return _stopping.load() || !shard.queue.empty();
+                return !shard.busy &&
+                       (_stopping.load() || !shard.queue.empty());
             });
             if (shard.queue.empty())
-                break; // stopping and fully drained
+                break; // stopping, fully drained, no drain running
             uint32_t budget = _options.maxBatch;
             while (!shard.queue.empty()) {
                 Item &front = shard.queue.front();
@@ -513,26 +553,23 @@ CheckService::shardLoop(size_t index)
             }
             shard.depth.store(shard.queuedRequests,
                               std::memory_order_relaxed);
+            shard.busy = true;
+            held = true;
         }
-        process(shard, items);
+        process(shard, items, false);
         items.clear();
     }
 }
 
 void
-CheckService::process(Shard &shard, std::vector<Item> &items)
+CheckService::process(Shard &shard, std::span<Item> items,
+                      bool inlineDrain)
 {
     // The shard's measured clock: one read as the drain starts (also
     // every latency record's drain-start stamp) and one after the
     // eviction pass below, shared by all of the drain's requests.
     const uint64_t drainStartNs = obs::nowNs();
     uint32_t requestsChecked = 0;
-
-    // Batch completions are deferred past the shard-counter updates
-    // below: a waiter woken by its batch must observe totalChecks()
-    // figures that already include its own requests.
-    std::vector<std::pair<Batch *, uint32_t>> completions;
-    completions.reserve(items.size());
 
     for (Item &item : items) {
         TenantState *t = item.tenant;
@@ -587,12 +624,10 @@ CheckService::process(Shard &shard, std::vector<Item> &items)
             if (_shardResidentCap && t->checker)
                 shard.lru.touch(t->id);
             t->inFlight.fetch_sub(item.count, std::memory_order_acq_rel);
-            completions.emplace_back(item.batch, item.count);
             break;
           }
           case Op::Stats:
             snapshotTenant(*t, *item.statsOut);
-            completions.emplace_back(item.batch, 1);
             break;
           case Op::Evict:
             shard.lru.erase(t->id);
@@ -605,7 +640,6 @@ CheckService::process(Shard &shard, std::vector<Item> &items)
             // have always reported empty check stats.
             t->frozenStats = {};
             t->checker.reset();
-            completions.emplace_back(item.batch, 1);
             break;
           case Op::Swap: {
             // The deterministic swap boundary: every request queued
@@ -631,13 +665,18 @@ CheckService::process(Shard &shard, std::vector<Item> &items)
             // the then-current epoch and discards it as stale — the
             // evicted-then-swapped tenant fails closed to this epoch.
             _epochs.countSwap(epoch->epoch);
-            completions.emplace_back(item.batch, 1);
             break;
           }
         }
     }
 
     ++shard.drains;
+    shard.drainsMirror.store(shard.drains, std::memory_order_relaxed);
+    if (inlineDrain) {
+        ++shard.drainsInline;
+        shard.drainsInlineMirror.store(shard.drainsInline,
+                                       std::memory_order_relaxed);
+    }
     shard.processed += requestsChecked;
     shard.processedMirror.store(shard.processed,
                                 std::memory_order_relaxed);
@@ -662,8 +701,12 @@ CheckService::process(Shard &shard, std::vector<Item> &items)
         shard.tracer->maybeSample();
     }
 
-    for (auto &[batch, count] : completions)
-        batch->complete(count);
+    // Batch completions come last, after the shard counters: a waiter
+    // woken by its batch must observe totalChecks() figures that
+    // already include its own requests.
+    for (const Item &item : items)
+        item.batch->complete(itemRequests(item.count,
+                                          item.op == Op::Check));
 }
 
 void
@@ -792,6 +835,9 @@ CheckService::stop()
         std::lock_guard<std::mutex> lock(shard->mutex);
         shard->wake.notify_all();
     }
+    // A worker exits only with its queue empty and its busy flag
+    // clear, and no submit can claim the flag once _stopping is set,
+    // so joining the workers also waits out any submitter's drain.
     _pool.shutdown();
 
     // Deterministic teardown: with the workers joined, release the
@@ -883,6 +929,7 @@ CheckService::exportMetrics(MetricRegistry &registry,
 
     uint64_t checks = 0;
     uint64_t drains = 0;
+    uint64_t drainsInline = 0;
     uint64_t queueFull = 0;
     uint64_t rejects = 0;
     RunningStat batchStat;
@@ -892,6 +939,7 @@ CheckService::exportMetrics(MetricRegistry &registry,
         const Shard &shard = *_shards[i];
         checks += shard.processed;
         drains += shard.drains;
+        drainsInline += shard.drainsInline;
         queueFull += shard.queueFullRejects;
         rejects += shard.rejects.load();
         batchStat.merge(shard.batchStat);
@@ -900,6 +948,7 @@ CheckService::exportMetrics(MetricRegistry &registry,
         std::string sp = name("shards.s" + std::to_string(i));
         registry.setCounter(sp + ".checks", shard.processed);
         registry.setCounter(sp + ".drains", shard.drains);
+        registry.setCounter(sp + ".drains_inline", shard.drainsInline);
         registry.setCounter(sp + ".rejects", shard.rejects.load());
         registry.setCounter(sp + ".rejects_queue_full",
                             shard.queueFullRejects);
@@ -911,6 +960,7 @@ CheckService::exportMetrics(MetricRegistry &registry,
     registry.setCounter(name("max_batch"), _options.maxBatch);
     registry.setCounter(name("checks"), checks);
     registry.setCounter(name("drains"), drains);
+    registry.setCounter(name("drains_inline"), drainsInline);
     registry.setCounter(name("rejects.total"), rejects);
     registry.setCounter(name("rejects.queue_full"), queueFull);
     registry.setCounter(name("rejects.tenant_cap"),
@@ -991,18 +1041,28 @@ CheckService::exportLiveMetrics(MetricRegistry &registry,
 
     uint64_t checks = 0;
     uint64_t rejects = 0;
+    uint64_t drains = 0;
+    uint64_t drainsInline = 0;
     for (size_t i = 0; i < _shards.size(); ++i) {
         const Shard &shard = *_shards[i];
         const uint64_t shardChecks =
             shard.processedMirror.load(std::memory_order_relaxed);
         const uint64_t shardRejects =
             shard.rejects.load(std::memory_order_relaxed);
+        const uint64_t shardDrains =
+            shard.drainsMirror.load(std::memory_order_relaxed);
+        const uint64_t shardDrainsInline =
+            shard.drainsInlineMirror.load(std::memory_order_relaxed);
         checks += shardChecks;
         rejects += shardRejects;
+        drains += shardDrains;
+        drainsInline += shardDrainsInline;
 
         std::string sp = name("shards.s" + std::to_string(i));
         registry.setCounter(sp + ".checks", shardChecks);
         registry.setCounter(sp + ".rejects", shardRejects);
+        registry.setCounter(sp + ".drains", shardDrains);
+        registry.setCounter(sp + ".drains_inline", shardDrainsInline);
         registry.setGauge(sp + ".queue_depth",
                           shard.depth.load(std::memory_order_relaxed));
         registry.setGauge(
@@ -1019,6 +1079,8 @@ CheckService::exportLiveMetrics(MetricRegistry &registry,
     registry.setCounter(name("shard_count"), _shards.size());
     registry.setCounter(name("checks"), checks);
     registry.setCounter(name("rejects"), rejects);
+    registry.setCounter(name("drains"), drains);
+    registry.setCounter(name("drains_inline"), drainsInline);
 
     ServiceStatsSnapshot svc;
     serviceStats(svc);

@@ -6,11 +6,15 @@
  * MPSC queue of submitted batches. Every tenant — one confined process:
  * a seccomp profile plus its private SPT/VAT state — is pinned to the
  * shard `(id - 1) % shards`, so all of a tenant's requests are checked
- * by exactly one thread, in submission order. That single-writer
- * discipline is what makes the service deterministic: per-tenant
- * verdict streams (and therefore verdict counts) are byte-identical at
- * any shard count, because VAT state is only ever mutated by the one
- * thread that owns it and sees the tenant's requests FIFO.
+ * one thread at a time, in submission order, by whichever thread holds
+ * the shard's busy flag: normally its worker, and for a submit that
+ * asks for it (DrainOn::CallerIfIdle) on an idle shard with an empty
+ * queue, the submitting thread itself. That single-writer discipline
+ * is what makes the service deterministic: per-tenant verdict streams
+ * (and therefore verdict counts) are byte-identical at any shard
+ * count, because VAT state is only ever mutated by the one thread
+ * inside the shard's drain and that drain sees the tenant's requests
+ * FIFO.
  *
  * Admission control is explicit and two-level. A submit first charges
  * the tenant's in-flight cap (excess is shed as Overloaded and
@@ -21,7 +25,9 @@
  * blocks a producer and queue memory is strictly bounded.
  *
  * Workers drain up to maxBatch requests per wakeup so queue-lock and
- * telemetry costs amortize across a batch. Each drain reads the wall
+ * telemetry costs amortize across a batch. A caller that runs its own
+ * batch runs the same drain, process(), on one item, and skips the
+ * queue handoff and the worker wakeup. Each drain reads the wall
  * clock twice — as it starts and after its eviction pass — and that
  * measured drain time is the shard's only clock: it feeds the
  * retry-hint EWMA and timestamps the per-shard telemetry tracks.
@@ -37,6 +43,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -60,8 +67,8 @@ namespace draco::serve {
  * Completion handle for one submitted batch of requests.
  *
  * The submitter arms it with the request count, the service completes
- * requests as they resolve (immediately for shed ones, on the shard
- * worker for checked ones), and the submitter either wait()s or
+ * requests as they resolve (immediately for shed ones, in the shard's
+ * drain for checked ones), and the submitter either wait()s or
  * registers a callback to pipeline completions (the socket frontend
  * does the latter). A Batch may carry several submits before wait().
  */
@@ -81,8 +88,12 @@ class Batch
     /**
      * Register a one-shot callback invoked when the outstanding count
      * hits zero. Must be set before the triggering submit; runs on the
-     * completing thread (a shard worker, or the submitter itself when
-     * the whole batch was shed at admission).
+     * completing thread: a shard worker, or the submitter itself,
+     * inside submitBatch(), when the whole batch was shed at admission
+     * or the submitter ran the drain (DrainOn::CallerIfIdle). The
+     * callback therefore must never wait on the service — no wait() on
+     * another Batch, no check(), no control op: it may run while its
+     * thread holds the shard's drain.
      */
     void onComplete(std::function<void()> callback);
 
@@ -96,6 +107,17 @@ class Batch
     mutable std::mutex _mutex;
     std::condition_variable _cv;
     std::function<void()> _callback;
+};
+
+/** Which thread may run a submitted batch's drain (see submitBatch). */
+enum class DrainOn : uint8_t {
+    /** Always queue to the shard worker. */
+    Worker,
+    /**
+     * Run the drain on the submitting thread when the shard is idle
+     * and its queue is empty; otherwise queue as Worker does.
+     */
+    CallerIfIdle,
 };
 
 /**
@@ -184,24 +206,35 @@ class CheckService
      *
      * @param obsRec Optional latency-pipeline record. When set, the
      *        submit stamps enqueueNs (and the resolved shard), the
-     *        owning worker stamps drainStartNs / checkDoneNs and the
-     *        verdict counts, and the record stays writable until
-     *        @p batch completes. Null adds no clock reads beyond the
-     *        worker's two per drain. Observability never alters
-     *        verdicts.
+     *        drain stamps drainStartNs / checkDoneNs and the verdict
+     *        counts, and the record stays writable until @p batch
+     *        completes. Null adds no clock reads beyond the drain's
+     *        two. Observability never alters verdicts.
+     * @param drainOn CallerIfIdle lets this call run the shard's drain
+     *        itself when the shard is idle with an empty queue, so the
+     *        batch completes (and its callback runs) before the call
+     *        returns. Admission is the same either way. Callers that
+     *        block on the verdict anyway set it; asynchronous
+     *        submitters keep Worker, so their batches spread over the
+     *        shard workers.
      */
     void submitBatch(TenantId id, const os::SyscallRequest *reqs,
                      uint32_t count, CheckResponse *resps, Batch &batch,
-                     obs::StageRecord *obsRec = nullptr);
+                     obs::StageRecord *obsRec = nullptr,
+                     DrainOn drainOn = DrainOn::Worker);
 
-    /** Convenience: submit one request and wait for its verdict. */
+    /**
+     * Convenience: submit one request and wait for its verdict. Runs
+     * the drain on the calling thread when the shard is idle.
+     */
     CheckResponse check(TenantId id, const os::SyscallRequest &req);
 
     // ---- lifecycle ----
 
     /**
      * Stop serving: new submits complete with ShuttingDown, queued work
-     * drains, workers join. Idempotent.
+     * drains, workers join. Returns only after every thread running a
+     * drain has released its shard. Idempotent.
      */
     void stop();
 
@@ -245,7 +278,7 @@ class CheckService
      * Export a scrape-safe metric subset under @p prefix while traffic
      * is in flight: unlike exportMetrics(), this reads only atomics
      * and cross-thread mirrors, so the `/metrics` endpoint can call it
-     * on a live service without racing the shard workers.
+     * on a live service without racing the shard drains.
      */
     void exportLiveMetrics(MetricRegistry &registry,
                            const std::string &prefix = "serve.live")
@@ -269,7 +302,7 @@ class CheckService
         /**
          * The tenant's policy epochs: epoch 1 is installed at create,
          * each live swap publishes the next. Publication happens only
-         * on the owning shard worker (or at create, before the worker
+         * in the owning shard's drain (or at create, before any drain
          * can see the tenant), so the checker below — rebuilt in the
          * same FIFO step — always matches the current epoch.
          */
@@ -278,8 +311,8 @@ class CheckService
         /**
          * Mutable per-tenant state (VAT + counters). Built eagerly at
          * create when no resident cap governs the service; under a
-         * cap it is materialized lazily on the owning worker and may
-         * be dropped (after snapshotting) between requests.
+         * cap it is materialized lazily in the owning shard's drain
+         * and may be dropped (after snapshotting) between requests.
          */
         std::unique_ptr<core::DracoSoftwareChecker> checker;
 
@@ -287,7 +320,7 @@ class CheckService
         std::atomic<uint32_t> inFlight{0};
         std::atomic<uint64_t> rejects{0};
 
-        // Owned by the shard worker (single writer).
+        // Owned by the shard's drain (single writer).
         uint64_t allowed = 0;
         uint64_t denied = 0;
         uint64_t swaps = 0; ///< Epochs published beyond the first.
@@ -318,6 +351,15 @@ class CheckService
         uint64_t queueFullRejects = 0;///< Shed at capacity (guarded).
         RunningStat depthStat;        ///< Depth at enqueue (guarded).
 
+        /**
+         * Set (guarded) while a thread is inside process() for this
+         * shard. The worker pops only while it is clear; a submitter
+         * claims it only when the queue is also empty. Claiming and
+         * clearing under the mutex orders every drain's writes before
+         * the next drain, whichever threads run them.
+         */
+        bool busy = false;
+
         std::atomic<uint32_t> depth{0};     ///< Telemetry mirror.
         std::atomic<uint64_t> rejects{0};   ///< All sheds, any cause.
         std::atomic<uint32_t> lastBatch{0}; ///< Last drain size.
@@ -325,32 +367,52 @@ class CheckService
         /** EWMA of measured drain ns per checked request (retry hints). */
         std::atomic<double> ewmaCheckNs{100.0};
 
-        // Owned by the shard worker (single writer).
+        // Owned by the shard's drain (single writer: the busy holder).
         uint64_t processed = 0;  ///< Requests checked.
-        uint64_t drains = 0;     ///< Worker wakeups that took work.
+        uint64_t drains = 0;     ///< Drains that took work, any thread.
+        uint64_t drainsInline = 0; ///< Of those, run by a submitter.
         RunningStat batchStat;   ///< Requests per drain.
         uint32_t peakDepth = 0;  ///< Deepest queue seen at enqueue.
         lifecycle::ResidentLru lru; ///< Resident tenants, LRU order.
 
-        /** Cross-thread mirrors of worker-owned lifecycle state. */
+        /** Cross-thread mirrors of drain-owned state. */
         std::atomic<uint32_t> resident{0};
         std::atomic<uint64_t> processedMirror{0};
+        std::atomic<uint64_t> drainsMirror{0};
+        std::atomic<uint64_t> drainsInlineMirror{0};
 
         /** Telemetry track, clocked in wall ns since service start. */
         obs::Tracer *tracer = nullptr;
+    };
+
+    /** What enqueue() did with an item. */
+    enum class Admit : uint8_t {
+        Shed,    ///< Stopping, or a Check over queue capacity.
+        Queued,  ///< In the shard queue; the worker will run it.
+        Claimed, ///< The caller holds the shard's drain; run it now.
     };
 
     TenantState *tenant(TenantId id) const;
     uint32_t retryAfterUs(const Shard &shard) const;
     void shed(TenantState *t, CheckResponse *resps, uint32_t count,
               Batch &batch, CheckStatus status, uint32_t retryUs);
-    bool enqueue(Shard &shard, Item item);
+    Admit enqueue(Shard &shard, const Item &item,
+                  DrainOn drainOn = DrainOn::Worker);
     void shardLoop(size_t index);
-    void process(Shard &shard, std::vector<Item> &items);
+
+    /**
+     * Run one drain over @p items: the shard worker's loop and a
+     * submitter holding the shard's busy flag both call this. Batches
+     * complete at the end, after the shard counters are updated.
+     */
+    void process(Shard &shard, std::span<Item> items, bool inlineDrain);
+
+    /** Clear the busy flag; wake the worker if work or stop waits. */
+    void releaseShard(Shard &shard);
     void snapshotTenant(const TenantState &t, TenantStats &out) const;
 
     /**
-     * Build tenant @p t's checker on its owning worker, replaying its
+     * Build tenant @p t's checker in its shard's drain, replaying its
      * `.dtss` snapshot when one exists. A failed restore falls back
      * closed: the checker rebuilds fresh from the shared policy (cold
      * VAT, correct verdicts) and the failure is counted.

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "support/binio.hh"
@@ -467,21 +468,36 @@ decode(const std::vector<uint8_t> &payload, UpdateProfileReply &out)
 
 namespace {
 
+/**
+ * Send every byte of @p iov[0..count) in order, resuming after partial
+ * writes; advances the entries of @p iov as bytes go out.
+ */
 bool
-writeAll(int fd, const uint8_t *data, size_t len)
+writeAll(int fd, iovec *iov, size_t count)
 {
-    while (len > 0) {
+    while (count > 0) {
+        msghdr msg{};
+        msg.msg_iov = iov;
+        msg.msg_iovlen = count;
         // MSG_NOSIGNAL: writing to a peer that half-closed must fail
         // with EPIPE, not kill the process — clients routinely race
         // their requests against a server beginning to drain.
-        ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
+        ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
             return false;
         }
-        data += n;
-        len -= static_cast<size_t>(n);
+        size_t sent = static_cast<size_t>(n);
+        while (count > 0 && sent >= iov->iov_len) {
+            sent -= iov->iov_len;
+            ++iov;
+            --count;
+        }
+        if (count > 0) {
+            iov->iov_base = static_cast<uint8_t *>(iov->iov_base) + sent;
+            iov->iov_len -= sent;
+        }
     }
     return true;
 }
@@ -515,8 +531,14 @@ writeFrame(int fd, const std::vector<uint8_t> &payload)
     uint32_t len = static_cast<uint32_t>(payload.size());
     for (int i = 0; i < 4; ++i)
         header[i] = static_cast<uint8_t>((len >> (8 * i)) & 0xff);
-    return writeAll(fd, header, sizeof(header)) &&
-           writeAll(fd, payload.data(), payload.size());
+    // Header and payload leave in one call, so a lock-step peer pays
+    // one send per request and the server never wakes for a bare
+    // header.
+    iovec iov[2] = {
+        {header, sizeof(header)},
+        {const_cast<uint8_t *>(payload.data()), payload.size()},
+    };
+    return writeAll(fd, iov, payload.empty() ? 1 : 2);
 }
 
 bool

@@ -177,7 +177,8 @@ bool decode(const std::vector<uint8_t> &payload, UpdateProfileReply &out);
 // ---- frame I/O on a connected stream socket ----
 
 /**
- * Write one length-prefixed frame, retrying short writes and EINTR.
+ * Write one length-prefixed frame, header and payload in one sendmsg,
+ * retrying short writes and EINTR.
  *
  * @return false on I/O error or oversized payload.
  */

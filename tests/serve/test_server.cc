@@ -7,7 +7,11 @@
  * leaked until shutdown); a peer that vanishes with replies in flight
  * must be reaped, not left a zombie; a half-closed client must still
  * receive every in-flight reply; and the per-tenant verdict
- * fingerprint must be identical over TCP and the Unix socket.
+ * fingerprint must be identical over TCP and the Unix socket. The
+ * lone-frame tests pin where a batch drains: a lock-step client's
+ * batches on the event loop, a pipelined burst on the shard worker,
+ * with identical verdicts and per-tenant FIFO order either way, also
+ * with loops contending for shards while profiles swap.
  */
 
 #include <gtest/gtest.h>
@@ -17,18 +21,24 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/software.hh"
 #include "os/syscalls.hh"
+#include "seccomp/filter_builder.hh"
 #include "seccomp/profile.hh"
+#include "serve/client.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "serve/transport.hh"
 #include "serve/wire.hh"
+#include "support/metrics.hh"
 
 namespace draco::serve {
 namespace {
@@ -86,6 +96,37 @@ openFdCount()
         ++n;
     closedir(dir);
     return n;
+}
+
+/** Write all of @p bytes to @p fd in as few sends as the kernel takes. */
+bool
+sendAll(int fd, const std::vector<uint8_t> &bytes)
+{
+    size_t pos = 0;
+    while (pos < bytes.size()) {
+        ssize_t n = ::send(fd, bytes.data() + pos, bytes.size() - pos,
+                           MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return false;
+        pos += static_cast<size_t>(n);
+    }
+    return true;
+}
+
+/** Append one framed CheckBatch for @p id to @p stream. */
+void
+appendCheckBatch(std::vector<uint8_t> &stream, uint64_t batchId,
+                 TenantId id, const std::vector<os::SyscallRequest> &reqs)
+{
+    wire::CheckBatch msg;
+    msg.batchId = batchId;
+    msg.tenantId = id;
+    msg.reqs = reqs;
+    std::vector<uint8_t> payload;
+    wire::encode(payload, msg);
+    ASSERT_TRUE(wire::appendFrame(stream, payload));
 }
 
 /** Spin until @p cond holds or ~5s pass. @return cond's final value. */
@@ -496,6 +537,333 @@ TEST(SocketServer, ServesUnixAndTcpSimultaneously)
         resps.data()));
     server.stop();
     service.stop();
+}
+
+/**
+ * A lock-step client sends one frame at a time, so every CheckBatch
+ * arrives alone on an idle shard and runs on the event loop that read
+ * it: no queue handoff, no worker wakeup.
+ */
+TEST(SocketServer, LockStepBatchesDrainOnTheLoop)
+{
+    const std::string path = socketPath("lockstep");
+    ServiceOptions serviceOptions;
+    serviceOptions.shards = 2;
+    CheckService service(serviceOptions);
+    SocketServer server(service, path);
+    ASSERT_TRUE(server.start());
+
+    auto client = SocketClient::connect(path);
+    ASSERT_NE(client, nullptr);
+    TenantId a = client->createTenant("a", "docker-default");
+    TenantId b = client->createTenant("b", "docker-default");
+    ASSERT_NE(a, kInvalidTenant);
+    ASSERT_NE(b, kInvalidTenant);
+    constexpr uint64_t kBatches = 20;
+    const auto reqs = trafficMix(6, 32);
+    std::vector<CheckResponse> resps(reqs.size());
+    for (uint64_t i = 0; i < kBatches; ++i)
+        ASSERT_TRUE(client->checkBatch(
+            i % 2 ? a : b, reqs.data(),
+            static_cast<uint32_t>(reqs.size()), resps.data()));
+
+    client.reset();
+    server.stop();
+    service.stop();
+    MetricRegistry registry;
+    service.exportMetrics(registry);
+    EXPECT_EQ(registry.counterValue("serve.drains"), kBatches);
+    EXPECT_EQ(registry.counterValue("serve.drains_inline"), kBatches);
+    EXPECT_EQ(registry.counterValue("serve.shards.s0.drains_inline"),
+              kBatches / 2);
+}
+
+/**
+ * Eight CheckBatch frames in one send: each but the last has bytes
+ * behind it, so they queue to the shard worker while the loop keeps
+ * parsing. The replies come back in order with the verdicts a
+ * lock-step client gets for the same batches.
+ */
+TEST(SocketServer, PipelinedBurstQueuesToTheWorkerInOrder)
+{
+    const std::string path = socketPath("burst");
+    ServiceOptions serviceOptions;
+    serviceOptions.shards = 2;
+    CheckService service(serviceOptions);
+    SocketServer server(service, path);
+    ASSERT_TRUE(server.start());
+
+    auto client = SocketClient::connect(path);
+    ASSERT_NE(client, nullptr);
+    TenantId lock = client->createTenant("lock", "docker-default");
+    TenantId pipe = client->createTenant("pipe", "docker-default");
+    ASSERT_NE(lock, kInvalidTenant);
+    ASSERT_NE(pipe, kInvalidTenant);
+
+    constexpr uint64_t kBatches = 8;
+    std::vector<std::vector<os::SyscallRequest>> batches;
+    std::vector<std::vector<CheckResponse>> lockStep;
+    for (uint64_t b = 0; b < kBatches; ++b) {
+        batches.push_back(trafficMix(200 + b, 32));
+        lockStep.emplace_back(batches.back().size());
+        ASSERT_TRUE(client->checkBatch(
+            lock, batches.back().data(),
+            static_cast<uint32_t>(batches.back().size()),
+            lockStep.back().data()));
+    }
+
+    MetricRegistry before;
+    service.exportLiveMetrics(before);
+    std::vector<uint8_t> stream;
+    for (uint64_t b = 0; b < kBatches; ++b)
+        appendCheckBatch(stream, b + 1, pipe, batches[b]);
+    ASSERT_TRUE(sendAll(client->fd(), stream));
+    for (uint64_t b = 0; b < kBatches; ++b) {
+        std::vector<uint8_t> payload;
+        ASSERT_TRUE(wire::readFrame(client->fd(), payload));
+        wire::CheckBatchReply reply;
+        ASSERT_TRUE(wire::decode(payload, reply));
+        ASSERT_EQ(reply.batchId, b + 1) << "reply out of order";
+        ASSERT_EQ(reply.resps.size(), lockStep[b].size());
+        for (size_t i = 0; i < reply.resps.size(); ++i) {
+            EXPECT_EQ(reply.resps[i].status, lockStep[b][i].status)
+                << "batch " << b << " request " << i;
+            EXPECT_EQ(reply.resps[i].epoch, 1u);
+        }
+    }
+    MetricRegistry after;
+    service.exportLiveMetrics(after);
+    const uint64_t drains = after.counterValue("serve.live.drains") -
+                            before.counterValue("serve.live.drains");
+    const uint64_t inlineDrains =
+        after.counterValue("serve.live.drains_inline") -
+        before.counterValue("serve.live.drains_inline");
+    EXPECT_GE(drains - inlineDrains, 1u)
+        << "no batch of the burst drained on the worker";
+    EXPECT_LE(inlineDrains, 1u) << "only the last frame arrives alone";
+
+    client.reset();
+    server.stop();
+    service.stop();
+}
+
+/**
+ * Contention: 2 event loops, 4 lock-step and 2 pipelining connections
+ * on 4 tenants over 2 shards, so loops race each other and the workers
+ * for the same shards, while a control connection hot-swaps profiles.
+ * Every verdict must match the reference interpreter under the
+ * profile its epoch names, each connection must see each tenant's
+ * replies in FIFO order, and stop() with traffic in flight must reap
+ * every connection. Runs under TSan in CI.
+ */
+TEST(SocketServer, ContendedLoopsAndSwapsMatchPerEpochReference)
+{
+    constexpr unsigned kTenants = 4;
+    constexpr unsigned kSwaps = 40;
+    constexpr unsigned kBurst = 8; ///< Two frames per tenant.
+    const std::vector<std::string> profiles = {
+        "docker-default", "gvisor", "firecracker", "insecure"};
+
+    // Requests on which the builtin profiles disagree.
+    std::vector<os::SyscallRequest> pool;
+    const uint16_t sids[] = {os::sc::read,   os::sc::write,
+                             os::sc::openat, os::sc::socket,
+                             os::sc::clone,  os::sc::execve,
+                             os::sc::kill,   os::sc::ioctl,
+                             os::sc::personality, os::sc::futex,
+                             os::sc::mmap,   os::sc::fcntl};
+    const uint64_t args[] = {0, 1, 2, 8, 0x11, 0xffffffffULL};
+    for (uint16_t sid : sids)
+        for (uint64_t arg : args)
+            pool.push_back(request(sid, arg));
+
+    std::vector<std::vector<bool>> reference(profiles.size());
+    for (size_t p = 0; p < profiles.size(); ++p) {
+        auto policy = core::CompiledPolicy::compile(
+            *builtinProfileByName(profiles[p]));
+        for (const os::SyscallRequest &req : pool) {
+            const os::SeccompData data = req.toSeccompData();
+            uint32_t action =
+                static_cast<uint32_t>(os::SeccompAction::Allow);
+            for (const seccomp::BpfProgram &program :
+                 policy->filter.programs())
+                action = seccomp::mostRestrictiveAction(
+                    action, program.runInterpreted(data).action);
+            reference[p].push_back(os::rawActionAllows(action));
+        }
+    }
+    ASSERT_NE(reference[0], reference[1]);
+    ASSERT_NE(reference[0], reference[2]);
+
+    const std::string path = socketPath("contend");
+    ServiceOptions serviceOptions;
+    serviceOptions.shards = 2;
+    CheckService service(serviceOptions);
+    ServerOptions serverOptions;
+    serverOptions.socketPath = path;
+    serverOptions.eventThreads = 2;
+    SocketServer server(service, serverOptions);
+    ASSERT_TRUE(server.start());
+
+    auto control = SocketClient::connect(path);
+    ASSERT_NE(control, nullptr);
+    std::vector<TenantId> ids;
+    for (unsigned t = 0; t < kTenants; ++t) {
+        ids.push_back(control->createTenant("t" + std::to_string(t),
+                                            profiles[0]));
+        ASSERT_NE(ids.back(), kInvalidTenant);
+    }
+
+    // epoch -> profile index, per tenant, written by the control
+    // thread and read after every thread has joined.
+    std::vector<std::map<uint64_t, size_t>> epochProfile(kTenants);
+    for (unsigned t = 0; t < kTenants; ++t)
+        epochProfile[t][1] = 0;
+
+    /** One reply as a connection saw it, in arrival order. */
+    struct Seen {
+        unsigned tenant;
+        uint64_t batchId;
+        size_t first; ///< Pool index of the batch's first request.
+        std::vector<CheckResponse> resps;
+    };
+    constexpr unsigned kConns = 6;
+    std::vector<std::vector<Seen>> seen(kConns);
+    std::vector<std::string> errors(kConns);
+    std::atomic<uint64_t> replies{0};
+    const uint32_t kBatch = 8;
+
+    std::vector<std::thread> threads;
+    for (unsigned c = 0; c < kConns; ++c) {
+        threads.emplace_back([&, c] {
+            auto client = SocketClient::connect(path);
+            if (!client) {
+                errors[c] = "connect failed";
+                return;
+            }
+            uint64_t x = 0x9E3779B97F4A7C15ULL * (c + 1);
+            auto nextFirst = [&] {
+                x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+                return static_cast<size_t>((x >> 33) % pool.size());
+            };
+            auto batchOf = [&](size_t first) {
+                std::vector<os::SyscallRequest> reqs;
+                for (uint32_t i = 0; i < kBatch; ++i)
+                    reqs.push_back(pool[(first + i) % pool.size()]);
+                return reqs;
+            };
+            for (uint64_t round = 0;; ++round) {
+                if (c < 4) {
+                    // Lock-step on tenant c: one frame at a time.
+                    const size_t first = nextFirst();
+                    const auto reqs = batchOf(first);
+                    std::vector<CheckResponse> resps(kBatch);
+                    if (!client->checkBatch(ids[c], reqs.data(), kBatch,
+                                            resps.data()))
+                        return;
+                    seen[c].push_back({c, round, first, resps});
+                    replies.fetch_add(1);
+                    continue;
+                }
+                // Pipelining: a burst of two frames per tenant in one
+                // send, then every reply.
+                std::vector<uint8_t> stream;
+                std::map<uint64_t, std::pair<unsigned, size_t>> sent;
+                for (unsigned k = 0; k < kBurst; ++k) {
+                    const unsigned t = (k + c) % kTenants;
+                    const uint64_t batchId = round * kBurst + k + 1;
+                    const size_t first = nextFirst();
+                    appendCheckBatch(stream, batchId, ids[t],
+                                     batchOf(first));
+                    sent[batchId] = {t, first};
+                }
+                if (!sendAll(client->fd(), stream))
+                    return;
+                for (unsigned k = 0; k < kBurst; ++k) {
+                    std::vector<uint8_t> payload;
+                    if (!wire::readFrame(client->fd(), payload))
+                        return;
+                    wire::CheckBatchReply reply;
+                    auto it = sent.end();
+                    if (wire::decode(payload, reply))
+                        it = sent.find(reply.batchId);
+                    if (it == sent.end() ||
+                        reply.resps.size() != kBatch) {
+                        errors[c] = "undecodable or unknown reply";
+                        return;
+                    }
+                    seen[c].push_back({it->second.first, reply.batchId,
+                                       it->second.second, reply.resps});
+                    replies.fetch_add(1);
+                }
+            }
+        });
+    }
+
+    // Swap tenants round-robin through the profiles under the load.
+    // No ASSERT until the threads have joined.
+    EXPECT_TRUE(eventually([&] { return replies.load() >= 50; }));
+    for (unsigned i = 0; i < kSwaps; ++i) {
+        const unsigned t = i % kTenants;
+        const size_t p = (i / kTenants + 1) % profiles.size();
+        uint64_t epoch = 0;
+        if (!control->updateProfile(ids[t], profiles[p], &epoch)) {
+            ADD_FAILURE() << "swap " << i << " failed";
+            break;
+        }
+        EXPECT_TRUE(epochProfile[t].emplace(epoch, p).second);
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+    const uint64_t target = replies.load() + 100;
+    EXPECT_TRUE(eventually([&] { return replies.load() >= target; }));
+
+    // Stop with every connection still sending.
+    control.reset();
+    server.stop();
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(server.activeConnections(), 0u);
+    EXPECT_EQ(server.connectionsAccepted(), server.connectionsReaped());
+    service.stop();
+
+    uint64_t checked = 0;
+    uint64_t swapped = 0;
+    for (unsigned c = 0; c < kConns; ++c) {
+        EXPECT_EQ(errors[c], "") << "connection " << c;
+        std::vector<uint64_t> lastBatch(kTenants, 0);
+        std::vector<uint64_t> lastEpoch(kTenants, 0);
+        for (const Seen &s : seen[c]) {
+            // FIFO per tenant: a connection's batches for one tenant
+            // come back in the order it sent them, under epochs that
+            // never go back.
+            if (c >= 4) {
+                EXPECT_GT(s.batchId, lastBatch[s.tenant])
+                    << "connection " << c << " tenant " << s.tenant;
+                lastBatch[s.tenant] = s.batchId;
+            }
+            for (uint32_t i = 0; i < kBatch; ++i) {
+                const CheckResponse &resp = s.resps[i];
+                ASSERT_TRUE(resp.status == CheckStatus::Allowed ||
+                            resp.status == CheckStatus::Denied)
+                    << checkStatusName(resp.status);
+                ASSERT_GE(resp.epoch, lastEpoch[s.tenant]);
+                lastEpoch[s.tenant] = resp.epoch;
+                auto it = epochProfile[s.tenant].find(resp.epoch);
+                ASSERT_NE(it, epochProfile[s.tenant].end())
+                    << "verdict under unpublished epoch " << resp.epoch;
+                const size_t req = (s.first + i) % pool.size();
+                ASSERT_EQ(resp.status == CheckStatus::Allowed,
+                          reference[it->second][req])
+                    << "tenant " << s.tenant << " epoch " << resp.epoch
+                    << " request " << req;
+                ++checked;
+                if (resp.epoch > 1)
+                    ++swapped;
+            }
+        }
+    }
+    EXPECT_GT(checked, 0u);
+    EXPECT_GT(swapped, 0u) << "no verdict was served after a swap";
 }
 
 } // namespace

@@ -1,15 +1,17 @@
 /**
  * @file
  * CheckService unit tests: tenant lifecycle, verdict correctness, FIFO
- * stats snapshots, eviction semantics, shutdown draining, and the
- * determinism contract — per-tenant verdict counts identical at every
- * shard count.
+ * stats snapshots, eviction semantics, shutdown draining, drains run by
+ * blocking callers, and the determinism contract — per-tenant verdict
+ * counts identical at every shard count, whichever thread drains.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "os/syscalls.hh"
@@ -177,58 +179,174 @@ TEST(CheckService, VerdictCountsIdenticalAtEveryShardCount)
     for (unsigned t = 0; t < kTenants; ++t)
         traffic.push_back(trafficMix(100 + t, 400));
 
-    // Neither the shard count nor the drain size may move a verdict:
-    // at maxBatch 64 a worker may drain two 32-request submits per
-    // wakeup, at maxBatch 1 only one.
+    // Neither the shard count, the drain size nor the draining thread
+    // may move a verdict: at maxBatch 64 a worker may drain two
+    // 32-request submits per wakeup, at maxBatch 1 only one, and with
+    // CallerIfIdle this thread runs every submit that finds its shard
+    // idle.
     std::vector<std::pair<uint64_t, uint64_t>> baseline;
-    for (uint32_t maxBatch : {1u, 64u}) {
-        for (unsigned shards : {1u, 2u, 4u}) {
-            ServiceOptions options;
-            options.shards = shards;
-            options.maxBatch = maxBatch;
-            CheckService service(options);
-            std::vector<TenantId> ids;
-            for (unsigned t = 0; t < kTenants; ++t)
-                ids.push_back(service.createTenant(
-                    "t" + std::to_string(t), testProfile()));
+    for (DrainOn drainOn : {DrainOn::Worker, DrainOn::CallerIfIdle}) {
+        for (uint32_t maxBatch : {1u, 64u}) {
+            for (unsigned shards : {1u, 2u, 4u}) {
+                ServiceOptions options;
+                options.shards = shards;
+                options.maxBatch = maxBatch;
+                CheckService service(options);
+                std::vector<TenantId> ids;
+                for (unsigned t = 0; t < kTenants; ++t)
+                    ids.push_back(service.createTenant(
+                        "t" + std::to_string(t), testProfile()));
 
-            std::vector<std::vector<CheckResponse>> resps(kTenants);
-            std::vector<std::unique_ptr<Batch>> batches;
-            for (unsigned t = 0; t < kTenants; ++t) {
-                resps[t].resize(traffic[t].size());
-                batches.push_back(std::make_unique<Batch>());
-            }
-            // Interleave the tenants' client batches, as concurrent
-            // connections would.
-            for (size_t pos = 0; pos < traffic[0].size();
-                 pos += kClientBatch) {
+                std::vector<std::vector<CheckResponse>> resps(kTenants);
+                std::vector<std::unique_ptr<Batch>> batches;
                 for (unsigned t = 0; t < kTenants; ++t) {
-                    const uint32_t n = static_cast<uint32_t>(std::min(
-                        kClientBatch, traffic[t].size() - pos));
-                    service.submitBatch(ids[t], traffic[t].data() + pos,
-                                        n, resps[t].data() + pos,
-                                        *batches[t]);
+                    resps[t].resize(traffic[t].size());
+                    batches.push_back(std::make_unique<Batch>());
                 }
-            }
-            for (auto &batch : batches)
-                batch->wait();
+                // Interleave the tenants' client batches, as concurrent
+                // connections would.
+                for (size_t pos = 0; pos < traffic[0].size();
+                     pos += kClientBatch) {
+                    for (unsigned t = 0; t < kTenants; ++t) {
+                        const uint32_t n = static_cast<uint32_t>(std::min(
+                            kClientBatch, traffic[t].size() - pos));
+                        service.submitBatch(ids[t], traffic[t].data() + pos,
+                                            n, resps[t].data() + pos,
+                                            *batches[t], nullptr, drainOn);
+                    }
+                }
+                for (auto &batch : batches)
+                    batch->wait();
 
-            std::vector<std::pair<uint64_t, uint64_t>> verdicts;
-            for (unsigned t = 0; t < kTenants; ++t) {
-                TenantStats stats;
-                ASSERT_TRUE(service.tenantStats(ids[t], stats));
-                verdicts.emplace_back(stats.allowed, stats.denied);
-                EXPECT_EQ(stats.allowed + stats.denied,
-                          traffic[t].size());
+                std::vector<std::pair<uint64_t, uint64_t>> verdicts;
+                for (unsigned t = 0; t < kTenants; ++t) {
+                    TenantStats stats;
+                    ASSERT_TRUE(service.tenantStats(ids[t], stats));
+                    verdicts.emplace_back(stats.allowed, stats.denied);
+                    EXPECT_EQ(stats.allowed + stats.denied,
+                              traffic[t].size());
+                }
+                if (baseline.empty())
+                    baseline = verdicts;
+                else
+                    EXPECT_EQ(verdicts, baseline)
+                        << shards << " shards, maxBatch " << maxBatch
+                        << ", caller drains "
+                        << (drainOn == DrainOn::CallerIfIdle);
+                EXPECT_EQ(service.totalRejects(), 0u);
             }
-            if (baseline.empty())
-                baseline = verdicts;
-            else
-                EXPECT_EQ(verdicts, baseline)
-                    << shards << " shards, maxBatch " << maxBatch;
-            EXPECT_EQ(service.totalRejects(), 0u);
         }
     }
+}
+
+/**
+ * check() and LocalClient::checkBatch block on the verdict, so on an
+ * idle shard they run the drain themselves; asynchronous submits keep
+ * queueing to the worker. Inline drains still count as drains.
+ */
+TEST(CheckService, BlockingCallersDrainIdleShardsThemselves)
+{
+    ServiceOptions options;
+    options.shards = 2;
+    CheckService service(options);
+    TenantId a = service.createTenant("a", testProfile());
+    TenantId b = service.createTenant("b", testProfile());
+    for (int i = 0; i < 6; ++i)
+        EXPECT_EQ(service.check(i % 2 ? a : b, request(os::sc::read))
+                      .status,
+                  CheckStatus::Allowed);
+    LocalClient client(service);
+    std::vector<os::SyscallRequest> reqs = trafficMix(4, 32);
+    std::vector<CheckResponse> resps(reqs.size());
+    ASSERT_TRUE(client.checkBatch(a, reqs.data(),
+                                  static_cast<uint32_t>(reqs.size()),
+                                  resps.data()));
+
+    MetricRegistry live;
+    service.exportLiveMetrics(live);
+    EXPECT_EQ(live.counterValue("serve.live.drains"), 7u);
+    EXPECT_EQ(live.counterValue("serve.live.drains_inline"), 7u);
+
+    // An asynchronous submit queues even though the shard is idle.
+    Batch batch;
+    service.submitBatch(a, reqs.data(), static_cast<uint32_t>(reqs.size()),
+                        resps.data(), batch);
+    batch.wait();
+    service.stop();
+
+    MetricRegistry registry;
+    service.exportMetrics(registry);
+    EXPECT_EQ(registry.counterValue("serve.checks"), 6u + 32u + 32u);
+    EXPECT_EQ(registry.counterValue("serve.drains"), 8u);
+    EXPECT_EQ(registry.counterValue("serve.drains_inline"), 7u);
+    EXPECT_EQ(registry.counterValue("serve.shards.s0.drains_inline") +
+                  registry.counterValue("serve.shards.s1.drains_inline"),
+              7u);
+    EXPECT_EQ(registry.counterValue("serve.shards.s0.drains"),
+              registry.counterValue("serve.shards.s0.drains_inline") + 1);
+}
+
+/**
+ * stop() under blocking callers that run their own drains: it must
+ * wait out every drain in progress, so the teardown that follows never
+ * races a caller still inside a tenant's checker (TSan in CI), and
+ * every request resolves to a verdict or ShuttingDown.
+ */
+TEST(CheckService, StopWaitsOutCallerDrains)
+{
+    ServiceOptions options;
+    options.shards = 2;
+    CheckService service(options);
+    constexpr unsigned kThreads = 4;
+    std::vector<TenantId> ids;
+    for (unsigned t = 0; t < kThreads; ++t)
+        ids.push_back(service.createTenant("t" + std::to_string(t),
+                                           testProfile()));
+
+    std::atomic<uint64_t> started{0};
+    std::vector<uint64_t> verdicts(kThreads, 0);
+    std::vector<uint64_t> other(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            LocalClient client(service);
+            std::vector<os::SyscallRequest> reqs = trafficMix(10 + t, 16);
+            std::vector<CheckResponse> resps(reqs.size());
+            for (;;) {
+                client.checkBatch(ids[t], reqs.data(),
+                                  static_cast<uint32_t>(reqs.size()),
+                                  resps.data());
+                started.fetch_add(1);
+                bool shutDown = false;
+                for (const CheckResponse &resp : resps) {
+                    if (resp.status == CheckStatus::Allowed ||
+                        resp.status == CheckStatus::Denied)
+                        ++verdicts[t];
+                    else if (resp.status == CheckStatus::ShuttingDown)
+                        shutDown = true;
+                    else
+                        ++other[t];
+                }
+                if (shutDown)
+                    return;
+            }
+        });
+    }
+    while (started.load() < 64)
+        std::this_thread::yield();
+    service.stop();
+    for (std::thread &thread : threads)
+        thread.join();
+
+    uint64_t answered = 0;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        answered += verdicts[t];
+        EXPECT_EQ(other[t], 0u) << "thread " << t;
+    }
+    EXPECT_EQ(service.totalChecks(), answered);
+    MetricRegistry registry;
+    service.exportMetrics(registry);
+    EXPECT_GT(registry.counterValue("serve.drains_inline"), 0u);
 }
 
 TEST(CheckService, EvictedTenantRejectsNewWorkButReportsStats)
