@@ -25,6 +25,19 @@ struct EquivCase {
     const char *workload;
 };
 
+// EquivCase has no printer, so gtest lists each case with the raw bytes
+// of its two pointers, and ctest takes that listing as the test name.
+// Keeping the profile kinds in one 256-byte-aligned block fixes the
+// first printed byte, so the names do not move with the build type or
+// with string literals added elsewhere in the binary.
+struct alignas(256) ProfileKinds {
+    char docker[16] = "docker";
+    char gvisor[16] = "gvisor";
+    char firecracker[16] = "firecracker";
+    char appComplete[16] = "app-complete";
+};
+constexpr ProfileKinds kKinds{};
+
 class EquivalenceTest : public testing::TestWithParam<EquivCase>
 {
   protected:
@@ -91,16 +104,16 @@ TEST_P(EquivalenceTest, FourWayAgreementOnWorkloadStream)
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, EquivalenceTest,
-    testing::Values(EquivCase{"docker", "httpd"},
-                    EquivCase{"docker", "unixbench-syscall"},
-                    EquivCase{"gvisor", "nginx"},
-                    EquivCase{"gvisor", "pipe-ipc"},
-                    EquivCase{"firecracker", "redis"},
-                    EquivCase{"app-complete", "httpd"},
-                    EquivCase{"app-complete", "elasticsearch"},
-                    EquivCase{"app-complete", "mysql"},
-                    EquivCase{"app-complete", "sysbench-fio"},
-                    EquivCase{"app-complete", "mq-ipc"}),
+    testing::Values(EquivCase{kKinds.docker, "httpd"},
+                    EquivCase{kKinds.docker, "unixbench-syscall"},
+                    EquivCase{kKinds.gvisor, "nginx"},
+                    EquivCase{kKinds.gvisor, "pipe-ipc"},
+                    EquivCase{kKinds.firecracker, "redis"},
+                    EquivCase{kKinds.appComplete, "httpd"},
+                    EquivCase{kKinds.appComplete, "elasticsearch"},
+                    EquivCase{kKinds.appComplete, "mysql"},
+                    EquivCase{kKinds.appComplete, "sysbench-fio"},
+                    EquivCase{kKinds.appComplete, "mq-ipc"}),
     [](const testing::TestParamInfo<EquivCase> &info) {
         std::string name = std::string(info.param.profileKind) + "_" +
             info.param.workload;
