@@ -127,18 +127,12 @@ sendBatch(SoakConn &conn,
           const std::vector<os::SyscallRequest> &stream,
           uint64_t batchId)
 {
-    wire::CheckBatch msg;
-    msg.batchId = batchId;
-    msg.tenantId = conn.tenantId;
     if (conn.cursor + kBatchReqs > stream.size())
         conn.cursor = 0;
-    msg.reqs.assign(stream.begin() +
-                        static_cast<ptrdiff_t>(conn.cursor),
-                    stream.begin() +
-                        static_cast<ptrdiff_t>(conn.cursor + kBatchReqs));
-    conn.cursor += kBatchReqs;
     std::vector<uint8_t> payload;
-    wire::encode(payload, msg);
+    wire::encodeCheckBatch(payload, batchId, conn.tenantId,
+                           {stream.data() + conn.cursor, kBatchReqs});
+    conn.cursor += kBatchReqs;
     conn.inflight.emplace(batchId, std::chrono::steady_clock::now());
     ++conn.sent;
     return wire::writeFrame(conn.client->fd(), payload);
@@ -166,7 +160,7 @@ drainReplies(SoakConn &conn, DriverStats &stats)
             return false;
         }
         conn.parser.append(chunk, static_cast<size_t>(r));
-        std::vector<uint8_t> payload;
+        std::span<const uint8_t> payload;
         for (;;) {
             auto res = conn.parser.next(payload);
             if (res == wire::FrameParser::Result::Need)

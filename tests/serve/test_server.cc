@@ -11,7 +11,11 @@
  * lone-frame tests pin where a batch drains: a lock-step client's
  * batches on the event loop, a pipelined burst on the shard worker,
  * with identical verdicts and per-tenant FIFO order either way, also
- * with loops contending for shards while profiles swap.
+ * with loops contending for shards while profiles swap and requests
+ * use every seccomp_data field. Both ends guard the protocol version:
+ * the client refuses a server of another version and the server
+ * hangs up on a client of another version; and the client reassembles
+ * a reply however the peer splits its writes.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +24,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -120,13 +125,9 @@ void
 appendCheckBatch(std::vector<uint8_t> &stream, uint64_t batchId,
                  TenantId id, const std::vector<os::SyscallRequest> &reqs)
 {
-    wire::CheckBatch msg;
-    msg.batchId = batchId;
-    msg.tenantId = id;
-    msg.reqs = reqs;
-    std::vector<uint8_t> payload;
-    wire::encode(payload, msg);
-    ASSERT_TRUE(wire::appendFrame(stream, payload));
+    const size_t start = wire::beginFrame(stream);
+    wire::encodeCheckBatch(stream, batchId, id, reqs);
+    ASSERT_TRUE(wire::endFrame(stream, start));
 }
 
 /** Spin until @p cond holds or ~5s pass. @return cond's final value. */
@@ -510,6 +511,156 @@ TEST(SocketServer, HandshakeRefusesAnotherProtocolVersion)
     }
 }
 
+/**
+ * The server's side of the version guard: a peer whose Hello names
+ * another version is told this server's version, then hung up on, so
+ * a CheckBatch it sends under its own layout is never parsed under
+ * this one. The frame after the Hello here is a valid current-version
+ * batch for a live tenant, so only the refusal keeps it unserved.
+ */
+TEST(SocketServer, RefusesAHelloOfAnotherVersion)
+{
+    const std::string path = socketPath("oldhello");
+    CheckService service;
+    SocketServer server(service, path);
+    ASSERT_TRUE(server.start());
+    auto admin = SocketClient::connect(path);
+    ASSERT_NE(admin, nullptr);
+    TenantId id = admin->createTenant("old", "docker-default");
+    ASSERT_NE(id, kInvalidTenant);
+
+    int fd = connectEndpoint(Endpoint::unix_(path));
+    ASSERT_GE(fd, 0);
+    std::vector<uint8_t> stream;
+    wire::Hello hello;
+    hello.version = wire::kProtocolVersion - 1;
+    size_t start = wire::beginFrame(stream);
+    wire::encode(stream, hello);
+    ASSERT_TRUE(wire::endFrame(stream, start));
+    appendCheckBatch(stream, 1, id, trafficMix(9, 32));
+    ASSERT_TRUE(sendAll(fd, stream));
+
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(wire::readFrame(fd, payload));
+    wire::HelloReply reply;
+    ASSERT_TRUE(wire::decode(payload, reply));
+    EXPECT_EQ(reply.version, wire::kProtocolVersion);
+    uint8_t byte;
+    EXPECT_EQ(::read(fd, &byte, 1), 0) << "expected EOF after HelloReply";
+    ::close(fd);
+
+    ASSERT_TRUE(eventually(
+        [&] { return server.activeConnections() == 1; }));
+    EXPECT_EQ(service.totalChecks(), 0u);
+    server.stop();
+    service.stop();
+}
+
+/**
+ * The client reads a reply however the peer splits it: one byte per
+ * write, or the length prefix and the payload in separate writes. A
+ * fake server answers Hello, then each CheckBatch with verdicts derived
+ * from its requests; the client must return them exactly, and must
+ * fail a reply that echoes the wrong batchId or carries the wrong
+ * verdict count.
+ */
+TEST(SocketClient, ReassemblesRepliesSplitAcrossWrites)
+{
+    enum class Mode { ByteAtATime, HeaderThenPayload, WrongId, WrongCount };
+    const Mode modes[] = {Mode::ByteAtATime, Mode::HeaderThenPayload,
+                          Mode::WrongId, Mode::WrongCount};
+    auto verdictFor = [](const os::SyscallRequest &req) {
+        CheckResponse resp;
+        resp.status = req.sid % 2 ? CheckStatus::Denied
+                                  : CheckStatus::Allowed;
+        resp.path = static_cast<uint8_t>(req.sid % 4);
+        resp.epoch = req.args[0] + 1;
+        resp.retryAfterUs = static_cast<uint32_t>(req.pc);
+        return resp;
+    };
+
+    const std::string path = socketPath("split");
+    int listenFd = listenEndpoint(Endpoint::unix_(path));
+    ASSERT_GE(listenFd, 0);
+    std::thread peer([&] {
+        int fd = ::accept(listenFd, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        std::vector<uint8_t> payload;
+        std::vector<uint8_t> frame;
+        if (wire::readFrame(fd, payload)) {
+            wire::HelloReply hello;
+            hello.shards = 1;
+            size_t start = wire::beginFrame(frame);
+            wire::encode(frame, hello);
+            wire::endFrame(frame, start);
+            sendAll(fd, frame);
+        }
+        for (Mode mode : modes) {
+            wire::CheckBatch batch;
+            if (!wire::readFrame(fd, payload) ||
+                !wire::decode(payload, batch))
+                break;
+            wire::CheckBatchReply reply;
+            reply.batchId = batch.batchId + (mode == Mode::WrongId);
+            for (const os::SyscallRequest &req : batch.reqs)
+                reply.resps.push_back(verdictFor(req));
+            if (mode == Mode::WrongCount)
+                reply.resps.pop_back();
+            frame.clear();
+            size_t start = wire::beginFrame(frame);
+            wire::encode(frame, reply);
+            wire::endFrame(frame, start);
+            if (mode == Mode::ByteAtATime) {
+                for (uint8_t byte : frame) {
+                    if (!sendAll(fd, {byte}))
+                        break;
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(20));
+                }
+            } else {
+                sendAll(fd, {frame.begin(), frame.begin() + 4});
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                sendAll(fd, {frame.begin() + 4, frame.end()});
+            }
+        }
+        ::close(fd);
+    });
+
+    // No ASSERT until the peer has joined.
+    auto client = SocketClient::connect(path);
+    EXPECT_NE(client, nullptr);
+    std::vector<os::SyscallRequest> reqs = trafficMix(11, 24);
+    for (size_t i = 0; i < reqs.size(); ++i)
+        reqs[i].pc = 0x1000 + i;
+    if (client) {
+        for (Mode mode : modes) {
+            std::vector<CheckResponse> resps(reqs.size());
+            const bool ok = client->checkBatch(
+                7, reqs.data(), static_cast<uint32_t>(reqs.size()),
+                resps.data());
+            if (mode == Mode::WrongId || mode == Mode::WrongCount) {
+                EXPECT_FALSE(ok) << "mode " << static_cast<int>(mode);
+                continue;
+            }
+            EXPECT_TRUE(ok) << "mode " << static_cast<int>(mode);
+            for (size_t i = 0; ok && i < reqs.size(); ++i) {
+                const CheckResponse want = verdictFor(reqs[i]);
+                EXPECT_EQ(resps[i].status, want.status) << i;
+                EXPECT_EQ(resps[i].path, want.path) << i;
+                EXPECT_EQ(resps[i].epoch, want.epoch) << i;
+                EXPECT_EQ(resps[i].retryAfterUs, want.retryAfterUs) << i;
+            }
+        }
+    }
+    client.reset();
+    // Unblocks the peer's accept() should the connect itself fail.
+    ::shutdown(listenFd, SHUT_RDWR);
+    peer.join();
+    ::close(listenFd);
+    ::unlink(path.c_str());
+}
+
 /** Both listeners at once: one service, either doorway. */
 TEST(SocketServer, ServesUnixAndTcpSimultaneously)
 {
@@ -676,6 +827,27 @@ TEST(SocketServer, ContendedLoopsAndSwapsMatchPerEpochReference)
     for (uint16_t sid : sids)
         for (uint64_t arg : args)
             pool.push_back(request(sid, arg));
+    // ...and requests that use every seccomp_data field, so a transport
+    // that lost any of them would serve a verdict the reference
+    // disagrees with: every argument position set (gvisor checks
+    // socket's args 0-2 and mmap's args 2-3), the same with each high
+    // word set (filters compare each 32-bit half), and the largest pc.
+    // sids[0] is read, syscall number 0.
+    const std::array<uint64_t, os::kMaxSyscallArgs> fullArgs[] = {
+        {2, 1, 6, 0x22, 7, 9}, {1, 3, 5, 0x22, 0x11, 0x40}};
+    for (uint16_t sid : sids) {
+        for (const auto &full : fullArgs) {
+            os::SyscallRequest req = request(sid);
+            req.args = full;
+            pool.push_back(req);
+            for (unsigned i = 0; i < os::kMaxSyscallArgs; ++i)
+                req.args[i] |= static_cast<uint64_t>(i + 1) << 32;
+            pool.push_back(req);
+            req.args = full;
+            req.pc = UINT64_MAX;
+            pool.push_back(req);
+        }
+    }
 
     std::vector<std::vector<bool>> reference(profiles.size());
     for (size_t p = 0; p < profiles.size(); ++p) {

@@ -1,8 +1,10 @@
 /**
  * @file
  * Wire-protocol tests: bit-exact encode/decode round-trips for every
- * message type, total decoders on malformed payloads (truncations,
- * wrong type byte, oversized counts), and frame I/O over a socketpair.
+ * message type, the v4 CheckBatch record pinned byte for byte to the
+ * kernel's seccomp_data, total decoders on malformed payloads
+ * (truncations, wrong type byte, oversized counts, foreign records),
+ * and frame I/O over a socketpair.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +29,15 @@ request(uint16_t sid, uint64_t pc, uint64_t a0, uint64_t a5)
     req.args[0] = a0;
     req.args[5] = a5;
     return req;
+}
+
+/** @return The little-endian u32 at @p p. */
+uint32_t
+u32At(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
 }
 
 template <typename Msg>
@@ -98,6 +109,101 @@ TEST(Wire, CheckBatchRoundTripIsBitExact)
     }
 }
 
+/**
+ * A v4 CheckBatch record is the seccomp_data a filter reads: every
+ * 32-bit word of it, at the offsets the filter builder addresses,
+ * equals the same word of SyscallRequest::toSeccompData(). The reply
+ * record is pinned the same way.
+ */
+TEST(Wire, CheckBatchRecordIsSeccompData)
+{
+    std::vector<os::SyscallRequest> reqs;
+    reqs.push_back(request(0, 0, 0, 0));
+    os::SyscallRequest full;
+    full.sid = 0xFFFF;
+    full.pc = UINT64_MAX;
+    for (unsigned i = 0; i < os::kMaxSyscallArgs; ++i)
+        full.args[i] = 0x0123456789ABCDEFULL * (i + 1) + i;
+    reqs.push_back(full);
+    std::vector<uint8_t> payload;
+    encodeCheckBatch(payload, 0x1122334455667788ULL, 9, reqs);
+
+    ASSERT_EQ(payload.size(),
+              kCheckBatchHeaderBytes + reqs.size() * kRequestRecordBytes);
+    EXPECT_EQ(kRequestRecordBytes, 64u);
+    EXPECT_EQ(peekType(payload), MsgType::CheckBatch);
+    EXPECT_EQ(u32At(&payload[1]), 0x55667788u);
+    EXPECT_EQ(u32At(&payload[5]), 0x11223344u);
+    EXPECT_EQ(u32At(&payload[9]), 9u);
+    EXPECT_EQ(u32At(&payload[13]), reqs.size());
+
+    for (size_t r = 0; r < reqs.size(); ++r) {
+        const uint8_t *rec = &payload[kCheckBatchHeaderBytes +
+                                      r * kRequestRecordBytes];
+        const os::SeccompData sd = reqs[r].toSeccompData();
+        EXPECT_EQ(u32At(rec + os::sd_off::nr), sd.nr);
+        EXPECT_EQ(u32At(rec + os::sd_off::arch), sd.arch);
+        EXPECT_EQ(u32At(rec + os::sd_off::ip_lo),
+                  static_cast<uint32_t>(sd.instruction_pointer));
+        EXPECT_EQ(u32At(rec + os::sd_off::ip_hi),
+                  static_cast<uint32_t>(sd.instruction_pointer >> 32));
+        for (unsigned i = 0; i < os::kMaxSyscallArgs; ++i) {
+            EXPECT_EQ(u32At(rec + os::sd_off::argLo(i)),
+                      static_cast<uint32_t>(sd.args[i]))
+                << "request " << r << " arg " << i;
+            EXPECT_EQ(u32At(rec + os::sd_off::argHi(i)),
+                      static_cast<uint32_t>(sd.args[i] >> 32))
+                << "request " << r << " arg " << i;
+        }
+    }
+
+    // The CheckBatch message encodes the same bytes.
+    CheckBatch msg;
+    msg.batchId = 0x1122334455667788ULL;
+    msg.tenantId = 9;
+    msg.reqs = reqs;
+    std::vector<uint8_t> viaMsg;
+    encode(viaMsg, msg);
+    EXPECT_EQ(viaMsg, payload);
+
+    // Reply record: status u8 | path u8 | pad u16 | retry u32 | epoch u64.
+    CheckBatchReply reply;
+    reply.batchId = 3;
+    CheckResponse resp;
+    resp.status = CheckStatus::Overloaded;
+    resp.path = 2;
+    resp.retryAfterUs = 0xA1B2C3D4u;
+    resp.epoch = 0x0102030405060708ULL;
+    reply.resps.push_back(resp);
+    payload.clear();
+    encode(payload, reply);
+    ASSERT_EQ(payload.size(),
+              kCheckBatchReplyHeaderBytes + kVerdictRecordBytes);
+    EXPECT_EQ(kVerdictRecordBytes, 16u);
+    EXPECT_EQ(u32At(&payload[1]), 3u);
+    EXPECT_EQ(u32At(&payload[9]), 1u);
+    const uint8_t *rec = &payload[kCheckBatchReplyHeaderBytes];
+    EXPECT_EQ(rec[0], static_cast<uint8_t>(CheckStatus::Overloaded));
+    EXPECT_EQ(rec[1], 2u);
+    EXPECT_EQ(rec[2], 0u);
+    EXPECT_EQ(rec[3], 0u);
+    EXPECT_EQ(u32At(rec + 4), 0xA1B2C3D4u);
+    EXPECT_EQ(u32At(rec + 8), 0x05060708u);
+    EXPECT_EQ(u32At(rec + 12), 0x01020304u);
+
+    // Decoding into a caller's array takes exactly the reply's count.
+    uint64_t batchId = 0;
+    CheckResponse out[2];
+    ASSERT_TRUE(decodeCheckBatchReply(payload, batchId, {out, 1}));
+    EXPECT_EQ(batchId, 3u);
+    EXPECT_EQ(out[0].status, resp.status);
+    EXPECT_EQ(out[0].path, resp.path);
+    EXPECT_EQ(out[0].retryAfterUs, resp.retryAfterUs);
+    EXPECT_EQ(out[0].epoch, resp.epoch);
+    EXPECT_FALSE(decodeCheckBatchReply(payload, batchId, {out, 2}));
+    EXPECT_FALSE(decodeCheckBatchReply(payload, batchId, {out, 0}));
+}
+
 TEST(Wire, CheckBatchReplyCarriesEveryStatus)
 {
     CheckBatchReply msg;
@@ -157,7 +263,7 @@ TEST(Wire, TenantStatsRoundTrip)
     EXPECT_EQ(out.stats.epoch, 4u);
     EXPECT_EQ(out.stats.swaps, 3u);
 
-    // The v3 layout, field by field: type, ok, name (varint length +
+    // The layout, field by field: type, ok, name (varint length +
     // bytes), id, shard, evicted, seven check counters, allowed,
     // denied, rejects, epoch, swaps — and nothing else.
     std::vector<uint8_t> payload;
@@ -303,6 +409,73 @@ TEST(Wire, DecodersRejectEveryTruncation)
     payload.push_back(0);
     CheckBatch out;
     EXPECT_FALSE(decode(payload, out));
+
+    CheckBatchReply reply;
+    reply.batchId = 1;
+    reply.resps.resize(2);
+    payload.clear();
+    encode(payload, reply);
+    for (size_t len = 0; len < payload.size(); ++len) {
+        std::vector<uint8_t> cut(payload.begin(),
+                                 payload.begin() + len);
+        CheckBatchReply bad;
+        EXPECT_FALSE(decode(cut, bad)) << "length " << len;
+    }
+    payload.push_back(0);
+    CheckBatchReply bad;
+    EXPECT_FALSE(decode(payload, bad));
+}
+
+/**
+ * Records the protocol cannot mean: a request from another audit
+ * architecture or with a syscall number past SyscallRequest's 16 bits,
+ * and a verdict with a status past ShuttingDown or a non-zero pad.
+ * Each is one field away from a frame that decodes.
+ */
+TEST(Wire, DecodersRejectForeignRecords)
+{
+    CheckBatch msg;
+    msg.batchId = 1;
+    msg.tenantId = 2;
+    msg.reqs.push_back(request(3, 0x400000, 4, 5));
+    msg.reqs.push_back(request(0xFFFF, 0x400010, 7, 8));
+    std::vector<uint8_t> payload;
+    encode(payload, msg);
+    CheckBatch out;
+    ASSERT_TRUE(decode(payload, out));
+    EXPECT_EQ(out.reqs[1].sid, 0xFFFFu);
+
+    const size_t second = kCheckBatchHeaderBytes + kRequestRecordBytes;
+    std::vector<uint8_t> evil = payload;
+    evil[second + os::sd_off::arch] ^= 0x01; // not AUDIT_ARCH_X86_64
+    EXPECT_FALSE(decode(evil, out));
+    evil = payload;
+    evil[second + os::sd_off::nr + 2] = 0x01; // nr = 0x1FFFF
+    EXPECT_FALSE(decode(evil, out));
+    evil = payload;
+    const uint8_t nr[4] = {0x00, 0x00, 0x01, 0x00}; // nr = 0x10000
+    std::memcpy(&evil[second + os::sd_off::nr], nr, sizeof(nr));
+    EXPECT_FALSE(decode(evil, out));
+
+    CheckBatchReply reply;
+    reply.batchId = 1;
+    reply.resps.resize(2);
+    reply.resps[1].status = CheckStatus::ShuttingDown;
+    payload.clear();
+    encode(payload, reply);
+    CheckBatchReply rout;
+    ASSERT_TRUE(decode(payload, rout));
+
+    const size_t last =
+        kCheckBatchReplyHeaderBytes + kVerdictRecordBytes;
+    evil = payload;
+    evil[last] = 5; // one past ShuttingDown
+    EXPECT_FALSE(decode(evil, rout));
+    for (size_t pad : {last + 2, last + 3}) {
+        evil = payload;
+        evil[pad] = 0x80;
+        EXPECT_FALSE(decode(evil, rout)) << "pad byte " << pad;
+    }
 }
 
 TEST(Wire, DecodersRejectTheWrongType)

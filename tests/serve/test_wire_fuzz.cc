@@ -1,17 +1,21 @@
 /**
  * @file
  * Adversarial wire-protocol tests: the decoders and the incremental
- * FrameParser against hostile bytes. Every message type survives
- * every truncation; forged element counts near kMaxBatchRequests are
- * rejected before any count-sized allocation; payloads decoded as the
- * wrong type fail cleanly (type confusion); and a deterministic
- * byte-flip fuzz over every encoding must never crash, hang, or
- * return success with out-of-range fields.
+ * FrameParser against hostile bytes, on the v4 layout (fixed 64-byte
+ * seccomp_data request records, 16-byte verdict records). Every
+ * message type survives every truncation; forged element counts near
+ * kMaxBatchRequests are rejected before any count-sized allocation;
+ * payloads decoded as the wrong type fail cleanly (type confusion);
+ * and a deterministic byte-flip fuzz over every encoding must never
+ * crash, hang, or return success with out-of-range fields — a batch
+ * frame that still decodes re-encodes to the same bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,13 +24,15 @@
 namespace draco::serve::wire {
 namespace {
 
+/** A request with every argument set, the last with its high word. */
 os::SyscallRequest
 request(uint16_t sid, uint64_t pc, uint64_t a0)
 {
     os::SyscallRequest req;
     req.sid = sid;
     req.pc = pc;
-    req.args[0] = a0;
+    for (unsigned i = 0; i < os::kMaxSyscallArgs; ++i)
+        req.args[i] = a0 + i;
     req.args[5] = ~a0;
     return req;
 }
@@ -111,7 +117,7 @@ allEncodings()
 
 /** Run @p payload through every decoder; none may crash. */
 void
-decodeAsEverything(const std::vector<uint8_t> &payload)
+decodeAsEverything(std::span<const uint8_t> payload)
 {
     { Hello out; decode(payload, out); }
     { HelloReply out; decode(payload, out); }
@@ -183,13 +189,15 @@ TEST(WireFuzz, ForgedRequestCountsNearTheCapAreRejected)
     msg.reqs.push_back(request(1, 0x400000, 7));
     std::vector<uint8_t> payload;
     encode(payload, msg);
-    // Layout: type u8 | batchId u64 | tenantId u32 | count u32.
-    constexpr size_t kCountOffset = 1 + 8 + 4;
-    ASSERT_GT(payload.size(), kCountOffset + 4);
+    // Layout: type u8 | batchId u64 | tenantId u32 | count u32, then
+    // count 64-byte records. A count one off the truth fails the exact
+    // length check as surely as one past the cap.
+    constexpr size_t kCountOffset = kCheckBatchHeaderBytes - 4;
+    ASSERT_EQ(payload.size(), kCheckBatchHeaderBytes + kRequestRecordBytes);
 
     for (uint32_t forged :
-         {kMaxBatchRequests - 1, kMaxBatchRequests, kMaxBatchRequests + 1,
-          0x10000u, 0x7FFFFFFFu, 0xFFFFFFFFu}) {
+         {0u, 2u, kMaxBatchRequests - 1, kMaxBatchRequests,
+          kMaxBatchRequests + 1, 0x10000u, 0x7FFFFFFFu, 0xFFFFFFFFu}) {
         std::vector<uint8_t> evil = payload;
         std::memcpy(evil.data() + kCountOffset, &forged, sizeof(forged));
         CheckBatch out;
@@ -208,12 +216,15 @@ TEST(WireFuzz, ForgedResponseCountsNearTheCapAreRejected)
     msg.resps.push_back(resp);
     std::vector<uint8_t> payload;
     encode(payload, msg);
-    // Layout: type u8 | batchId u64 | count u32.
-    constexpr size_t kCountOffset = 1 + 8;
-    ASSERT_GT(payload.size(), kCountOffset + 4);
+    // Layout: type u8 | batchId u64 | count u32, then count 16-byte
+    // records.
+    constexpr size_t kCountOffset = kCheckBatchReplyHeaderBytes - 4;
+    ASSERT_EQ(payload.size(),
+              kCheckBatchReplyHeaderBytes + kVerdictRecordBytes);
 
     for (uint32_t forged :
-         {kMaxBatchRequests, kMaxBatchRequests + 1, 0xFFFFFFFFu}) {
+         {0u, 2u, kMaxBatchRequests, kMaxBatchRequests + 1,
+          0xFFFFFFFFu}) {
         std::vector<uint8_t> evil = payload;
         std::memcpy(evil.data() + kCountOffset, &forged, sizeof(forged));
         CheckBatchReply out;
@@ -234,13 +245,20 @@ TEST(WireFuzz, MaximalLegitimateBatchRoundTrips)
                                    0x400000 + i, i));
     std::vector<uint8_t> payload;
     encode(payload, msg);
+    // 17 + 8192 × 64 = 524305 bytes.
+    ASSERT_EQ(payload.size(), kCheckBatchHeaderBytes +
+                                  kMaxBatchRequests * kRequestRecordBytes);
     ASSERT_LE(payload.size(), kMaxFrameBytes)
         << "a full batch must fit one frame";
 
     CheckBatch out;
     ASSERT_TRUE(decode(payload, out));
     ASSERT_EQ(out.reqs.size(), msg.reqs.size());
-    EXPECT_EQ(out.reqs.back().pc, msg.reqs.back().pc);
+    for (size_t i = 0; i < msg.reqs.size(); ++i) {
+        ASSERT_EQ(out.reqs[i].sid, msg.reqs[i].sid) << i;
+        ASSERT_EQ(out.reqs[i].pc, msg.reqs[i].pc) << i;
+        ASSERT_EQ(out.reqs[i].args, msg.reqs[i].args) << i;
+    }
 
     // One more request and the count check must trip.
     msg.reqs.push_back(request(0, 0, 0));
@@ -318,12 +336,24 @@ TEST(WireFuzz, SeededByteFlipsNeverCrashTheDecoders)
             // A corrupted CheckBatchReply that still decodes must
             // carry only in-range statuses — type confusion between
             // payload bytes and the status enum is not acceptable.
+            // Fixed records leave no slack: a batch frame or reply
+            // that decodes re-encodes to exactly the bytes it came
+            // from.
             CheckBatchReply reply;
             if (decode(mut, reply)) {
                 for (const CheckResponse &resp : reply.resps)
                     EXPECT_LE(
                         static_cast<uint8_t>(resp.status),
                         static_cast<uint8_t>(CheckStatus::ShuttingDown));
+                std::vector<uint8_t> again;
+                encode(again, reply);
+                EXPECT_EQ(again, mut);
+            }
+            CheckBatch batch;
+            if (decode(mut, batch)) {
+                std::vector<uint8_t> again;
+                encode(again, batch);
+                EXPECT_EQ(again, mut);
             }
         }
     }
@@ -351,15 +381,30 @@ TEST(WireFuzz, FrameParserReassemblesByteByByte)
 
     FrameParser parser;
     std::vector<std::vector<uint8_t>> got;
-    std::vector<uint8_t> frame;
+    std::span<const uint8_t> frame;
     for (uint8_t byte : stream) {
         parser.append(&byte, 1);
         while (parser.next(frame) == FrameParser::Result::Frame)
-            got.push_back(frame);
+            got.emplace_back(frame.begin(), frame.end());
     }
     EXPECT_EQ(got, sent);
     EXPECT_FALSE(parser.corrupt());
     EXPECT_EQ(parser.buffered(), 0u);
+
+    // Several frames in one read: every view next() hands out stays
+    // valid until the next append(), so all of them can be held at
+    // once, as the server's loop holds each while it checks it.
+    FrameParser burst;
+    burst.append(stream.data(), stream.size());
+    std::vector<std::span<const uint8_t>> views;
+    while (burst.next(frame) == FrameParser::Result::Frame)
+        views.push_back(frame);
+    ASSERT_EQ(views.size(), sent.size());
+    for (size_t i = 0; i < sent.size(); ++i)
+        EXPECT_TRUE(std::equal(views[i].begin(), views[i].end(),
+                               sent[i].begin(), sent[i].end()))
+            << "frame " << i;
+    EXPECT_EQ(burst.buffered(), 0u);
 }
 
 /** An over-limit length prefix poisons the parser permanently. */
@@ -371,7 +416,7 @@ TEST(WireFuzz, FrameParserCorruptionIsSticky)
     std::memcpy(prefix, &evil, sizeof(prefix));
     parser.append(prefix, sizeof(prefix));
 
-    std::vector<uint8_t> frame;
+    std::span<const uint8_t> frame;
     EXPECT_EQ(parser.next(frame), FrameParser::Result::Corrupt);
     EXPECT_TRUE(parser.corrupt());
 
@@ -398,7 +443,7 @@ TEST(WireFuzz, FrameParserSurvivesGarbageStreams)
 
     for (int round = 0; round < 50; ++round) {
         FrameParser parser;
-        std::vector<uint8_t> frame;
+        std::span<const uint8_t> frame;
         size_t fed = 0;
         while (fed < 4096 && !parser.corrupt()) {
             uint8_t chunk[64];
