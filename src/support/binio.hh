@@ -11,19 +11,59 @@
  * bit-compatible with each other's framing and that a fix to bounds
  * checking lands in every decoder at once. Decoders read from a span,
  * so a block inside a larger file decodes in place, bounded by its own
- * end rather than the file's.
+ * end rather than the file's. Fixed-size records (the wire protocol's
+ * CheckBatch) are encoded and decoded in place with storeLe()/loadLe()
+ * once their caller has bounds-checked the whole record run.
  */
 
 #ifndef DRACO_SUPPORT_BINIO_HH
 #define DRACO_SUPPORT_BINIO_HH
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace draco::binio {
+
+/**
+ * Store @p v little-endian at @p p; the caller owns the bounds check.
+ * On a little-endian host this is one store: the compiler cannot merge
+ * byte stores through a uint8_t pointer that may alias the record
+ * being encoded.
+ */
+template <typename T>
+inline void
+storeLe(uint8_t *p, T v)
+{
+    static_assert(std::is_unsigned_v<T>);
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(p, &v, sizeof(v));
+    } else {
+        for (size_t i = 0; i < sizeof(T); ++i)
+            p[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+}
+
+/** @return The little-endian T at @p p; the caller owns the bounds check. */
+template <typename T>
+inline T
+loadLe(const uint8_t *p)
+{
+    static_assert(std::is_unsigned_v<T>);
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, sizeof(v));
+    } else {
+        for (size_t i = 0; i < sizeof(T); ++i)
+            v |= static_cast<T>(p[i]) << (8 * i);
+    }
+    return v;
+}
 
 /** Append @p v little-endian as 4 bytes. */
 inline void
