@@ -17,13 +17,6 @@ namespace {
  */
 std::atomic<uint64_t> g_nextVatBase{0x600000000000ULL};
 
-uint64_t
-allocateVatRegion(uint64_t bytes)
-{
-    uint64_t pages = (bytes + 4095) / 4096 * 4096;
-    return g_nextVatBase.fetch_add(pages, std::memory_order_relaxed);
-}
-
 } // namespace
 
 uint64_t
@@ -36,8 +29,8 @@ vatHash(CuckooWay way, const ArgKey &key)
     return mix64(engine.compute(key.data(), key.size()));
 }
 
-void
-Vat::configure(uint16_t sid, uint64_t bitmask, size_t estimated_sets)
+Vat::Table
+Vat::makeTable(uint16_t sid, uint64_t bitmask, size_t estimated_sets)
 {
     if (bitmask == 0)
         fatal("Vat::configure: sid %u has no checked bytes", sid);
@@ -46,21 +39,17 @@ Vat::configure(uint16_t sid, uint64_t bitmask, size_t estimated_sets)
     unsigned keyBytes = static_cast<unsigned>(std::popcount(bitmask));
     // One entry: stored key rounded to 8 bytes, plus valid/metadata word.
     size_t entryBytes = ((keyBytes + 7) / 8) * 8 + 8;
-    Table table{sid, bitmask,
-                allocateVatRegion(2 * buckets * entryBytes), entryBytes,
-                CuckooTable<ArgKey>(
-                    buckets,
-                    [](const ArgKey &k) {
-                        return vatHash(CuckooWay::H1, k);
-                    },
-                    [](const ArgKey &k) {
-                        return vatHash(CuckooWay::H2, k);
-                    })};
+    return Table{sid, bitmask, 0, entryBytes, VatCuckoo(buckets, {}, {})};
+}
 
-    if (Table *existing = tableFor(sid)) {
+void
+Vat::install(Table table)
+{
+    if (Table *existing = tableFor(table.sid)) {
         *existing = std::move(table);
         return;
     }
+    const uint16_t sid = table.sid;
     if (sid >= _index.size())
         _index.resize(size_t{sid} + 1, kNoTable);
     auto at = std::upper_bound(
@@ -73,6 +62,15 @@ Vat::configure(uint16_t sid, uint64_t bitmask, size_t estimated_sets)
 }
 
 void
+Vat::configure(uint16_t sid, uint64_t bitmask, size_t estimated_sets)
+{
+    Table table = makeTable(sid, bitmask, estimated_sets);
+    table.baseAddr = g_nextVatBase.fetch_add(table.regionBytes(),
+                                             std::memory_order_relaxed);
+    install(std::move(table));
+}
+
+void
 Vat::configure(const std::vector<CheckSpec> &specs)
 {
     if (specs.empty())
@@ -80,8 +78,21 @@ Vat::configure(const std::vector<CheckSpec> &specs)
     _tables.reserve(_tables.size() + specs.size());
     if (specs.back().sid >= _index.size())
         _index.resize(size_t{specs.back().sid} + 1, kNoTable);
-    for (const CheckSpec &spec : specs)
-        configure(spec.sid, spec.bitmask, spec.estimatedSets);
+    uint64_t regionBytes = 0;
+    for (const CheckSpec &spec : specs) {
+        Table table = makeTable(spec.sid, spec.bitmask, spec.estimatedSets);
+        regionBytes += table.regionBytes();
+        install(std::move(table));
+    }
+    // One bump of the shared counter for the whole region, split in
+    // spec order: the addresses consecutive per-table bumps would give.
+    uint64_t base = g_nextVatBase.fetch_add(regionBytes,
+                                            std::memory_order_relaxed);
+    for (const CheckSpec &spec : specs) {
+        Table &table = *tableFor(spec.sid);
+        table.baseAddr = base;
+        base += table.regionBytes();
+    }
 }
 
 const Vat::Table *
@@ -123,14 +134,10 @@ Vat::lookup(uint16_t sid, const ArgKey &key) const
 std::optional<VatHit>
 Vat::lookupAt(TableIndex table, const ArgKey &key) const
 {
-    const Table &t = _tables[table];
-    auto found = t.cuckoo.lookup(key);
+    auto found = _tables[table].cuckoo.lookup(key);
     if (!found)
         return std::nullopt;
-    VatHit hit;
-    hit.token = VatToken{found->way, found->hash};
-    hit.address = entryAddress(t, hit.token);
-    return hit;
+    return VatHit{VatToken{found->way, found->hash}};
 }
 
 bool
@@ -205,16 +212,10 @@ Vat::entryAddress(uint16_t sid, const VatToken &token) const
     const Table *table = tableFor(sid);
     if (!table)
         panic("Vat::entryAddress: sid %u not configured", sid);
-    return entryAddress(*table, token);
-}
-
-uint64_t
-Vat::entryAddress(const Table &table, const VatToken &token) const
-{
-    uint64_t buckets = table.cuckoo.buckets();
-    uint64_t slot =
-        static_cast<uint64_t>(token.way) * buckets + token.hash % buckets;
-    return table.baseAddr + slot * table.entryBytes;
+    uint64_t buckets = table->cuckoo.buckets();
+    uint64_t slot = static_cast<uint64_t>(token.way) * buckets +
+        (token.hash & (buckets - 1));
+    return table->baseAddr + slot * table->entryBytes;
 }
 
 size_t

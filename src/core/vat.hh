@@ -16,6 +16,8 @@
  * sid → position index beside it, so resolving a sid costs one load
  * and the checker's SPT can name a table by its position (the paper's
  * SPT Base field). A table's slots are allocated on its first insert.
+ * Its two hashers are empty functor types (VatHasher), so a table
+ * stores no hash state and a probe calls vatHash() directly.
  */
 
 #ifndef DRACO_CORE_VAT_HH
@@ -44,9 +46,21 @@ struct VatToken {
 
 /** Result of a VAT lookup. */
 struct VatHit {
-    VatToken token;       ///< Location of the matching entry.
-    uint64_t address = 0; ///< Memory address of the entry (for timing).
+    VatToken token; ///< Location of the matching entry.
 };
+
+/** @return CRC-64 over the key bytes for @p way. */
+uint64_t vatHash(CuckooWay way, const ArgKey &key);
+
+/** Stateless cuckoo hasher for one VAT way: vatHash(Way, key). */
+template <CuckooWay Way>
+struct VatHasher {
+    uint64_t operator()(const ArgKey &key) const { return vatHash(Way, key); }
+};
+
+/** One per-syscall VAT table: the two ways hash with distinct types. */
+using VatCuckoo = CuckooTable<ArgKey, VatHasher<CuckooWay::H1>,
+                              VatHasher<CuckooWay::H2>>;
 
 /**
  * Per-process Validated Argument Table.
@@ -79,7 +93,10 @@ class Vat
     /**
      * Configure one table per entry of @p specs, which must be
      * argument-checking and in ascending sid order — on an empty Vat,
-     * specs[k]'s table lands at TableIndex k.
+     * specs[k]'s table lands at TableIndex k. The tables' regions are
+     * taken with one bump of the shared address counter and laid out
+     * exactly as consecutive per-table configure() calls would lay
+     * them out.
      */
     void configure(const std::vector<CheckSpec> &specs);
 
@@ -153,7 +170,7 @@ class Vat
     /**
      * Invoke @p fn(sid, bitmask, cuckoo) on every configured table in
      * ascending sid order — the deterministic enumeration the `.dtss`
-     * encoder serializes.
+     * encoder serializes. @p cuckoo is a `const VatCuckoo &`.
      */
     template <typename Fn>
     void
@@ -205,21 +222,31 @@ class Vat
         uint64_t bitmask;
         uint64_t baseAddr;
         size_t entryBytes;
-        CuckooTable<ArgKey> cuckoo;
+        VatCuckoo cuckoo;
+
+        /** @return Bytes of address space the table takes (whole pages). */
+        uint64_t
+        regionBytes() const
+        {
+            return (cuckoo.capacity() * entryBytes + 4095) / 4096 * 4096;
+        }
     };
+
+    /** @return @p sid's empty table, with no base address yet. */
+    static Table makeTable(uint16_t sid, uint64_t bitmask,
+                           size_t estimated_sets);
+
+    /** Replace the table for @p table's sid, or insert it in order. */
+    void install(Table table);
 
     const Table *tableFor(uint16_t sid) const;
     Table *tableFor(uint16_t sid);
-    uint64_t entryAddress(const Table &table, const VatToken &token) const;
 
     std::vector<Table> _tables;      ///< Ascending sid.
     std::vector<TableIndex> _index;  ///< sid → position in _tables.
     uint64_t _evictions = 0;
     obs::Tracer *_tracer = nullptr;
 };
-
-/** @return CRC-64 over the key bytes for @p way. */
-uint64_t vatHash(CuckooWay way, const ArgKey &key);
 
 } // namespace draco::core
 

@@ -13,6 +13,7 @@
 #ifndef DRACO_HASH_CUCKOO_HH
 #define DRACO_HASH_CUCKOO_HH
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -50,11 +51,17 @@ struct CuckooStats {
  * Fixed-capacity two-way cuckoo hash set.
  *
  * @tparam Key Stored key type (must be equality comparable).
+ * @tparam H1 Way-0 hasher: a callable `uint64_t(const Key &)`.
+ * @tparam H2 Way-1 hasher; defaults to H1's type.
  *
- * Each way holds `buckets` slots; a key lives either at `h1(key) %
- * buckets` in way 0 or `h2(key) % buckets` in way 1. The two hash values
- * are supplied by caller-provided functions so the owner (the VAT) can use
- * CRC-64 ECMA / ¬ECMA over the masked argument bytes.
+ * Each way holds `buckets` slots, a power of two; a key lives either
+ * at `h1(key) & (buckets - 1)` in way 0 or `h2(key) & (buckets - 1)`
+ * in way 1. The two hash values are supplied by the owner so the VAT
+ * can use CRC-64 ECMA / ¬ECMA over the masked argument bytes. The
+ * hashers are stored `[[no_unique_address]]`: the VAT passes two
+ * distinct empty functor types, which take no space and are called
+ * without an indirect jump, while the std::function default still
+ * takes any callable, capturing lambdas included.
  *
  * Both ways share one slot vector (way 1 follows way 0), allocated on
  * the first insert() or placeAt(): most of a process's per-syscall
@@ -63,12 +70,12 @@ struct CuckooStats {
  * hashing. buckets() and capacity() report the configured geometry
  * either way.
  */
-template <typename Key>
+template <typename Key,
+          typename H1 = std::function<uint64_t(const Key &)>,
+          typename H2 = H1>
 class CuckooTable
 {
   public:
-    using HashFn = std::function<uint64_t(const Key &)>;
-
     /** Result of a successful lookup. */
     struct Found {
         CuckooWay way;   ///< Which hash function located the key.
@@ -77,18 +84,20 @@ class CuckooTable
     };
 
     /**
-     * @param buckets Number of slots per way (total capacity 2×buckets).
+     * @param buckets Number of slots per way (total capacity 2×buckets);
+     *        must be a power of two.
      * @param h1 First hash function.
      * @param h2 Second hash function.
      * @param max_displacements Displacement-chain bound before eviction.
      */
-    CuckooTable(size_t buckets, HashFn h1, HashFn h2,
+    CuckooTable(size_t buckets, H1 h1, H2 h2,
                 unsigned max_displacements = 16)
         : _h1(std::move(h1)), _h2(std::move(h2)),
           _maxDisplacements(max_displacements), _buckets(buckets)
     {
-        if (buckets == 0)
-            fatal("CuckooTable: bucket count must be > 0");
+        if (!std::has_single_bit(buckets))
+            fatal("CuckooTable: bucket count %zu is not a power of two",
+                  buckets);
     }
 
     /**
@@ -134,7 +143,7 @@ class CuckooTable
         // Prefer a free slot in either way before displacing anyone.
         for (unsigned w = 0; w < 2; ++w) {
             uint64_t hv = w == 0 ? _h1(key) : _h2(key);
-            Slot &slot = slotAt(w, hv % _buckets);
+            Slot &slot = slotAt(w, bucketOf(hv));
             if (!slot.occupied) {
                 slot.occupied = true;
                 slot.key = key;
@@ -147,7 +156,7 @@ class CuckooTable
         unsigned way = 0;
         for (unsigned step = 0; step < _maxDisplacements; ++step) {
             uint64_t hv = way == 0 ? _h1(pending) : _h2(pending);
-            Slot &slot = slotAt(way, hv % _buckets);
+            Slot &slot = slotAt(way, bucketOf(hv));
             if (!slot.occupied) {
                 slot.occupied = true;
                 slot.key = pending;
@@ -204,7 +213,7 @@ class CuckooTable
         if (_slots.empty())
             return nullptr;
         const Slot &slot =
-            slotAt(static_cast<unsigned>(way), index % _buckets);
+            slotAt(static_cast<unsigned>(way), bucketOf(index));
         return slot.occupied ? &slot.key : nullptr;
     }
 
@@ -229,10 +238,11 @@ class CuckooTable
     {
         if (_size == 0)
             return;
-        for (size_t s = 0; s < _slots.size(); ++s)
-            if (_slots[s].occupied)
-                fn(static_cast<CuckooWay>(s / _buckets),
-                   static_cast<uint64_t>(s % _buckets), _slots[s].key);
+        for (unsigned way = 0; way < 2; ++way)
+            for (size_t index = 0; index < _buckets; ++index)
+                if (const Slot &slot = slotAt(way, index); slot.occupied)
+                    fn(static_cast<CuckooWay>(way),
+                       static_cast<uint64_t>(index), slot.key);
     }
 
     /**
@@ -303,6 +313,9 @@ class CuckooTable
         Key key{};
     };
 
+    /** @return The slot index hash value @p hv selects in a way. */
+    uint64_t bucketOf(uint64_t hv) const { return hv & (_buckets - 1); }
+
     /** Allocate both ways' slots on first write. */
     void
     allocateSlots()
@@ -331,20 +344,20 @@ class CuckooTable
     probe(const Key &key) const
     {
         uint64_t hv1 = _h1(key);
-        uint64_t idx1 = hv1 % _buckets;
+        uint64_t idx1 = bucketOf(hv1);
         const Slot &s1 = slotAt(0, idx1);
         if (s1.occupied && s1.key == key)
             return Found{CuckooWay::H1, hv1, idx1};
         uint64_t hv2 = _h2(key);
-        uint64_t idx2 = hv2 % _buckets;
+        uint64_t idx2 = bucketOf(hv2);
         const Slot &s2 = slotAt(1, idx2);
         if (s2.occupied && s2.key == key)
             return Found{CuckooWay::H2, hv2, idx2};
         return std::nullopt;
     }
 
-    HashFn _h1;
-    HashFn _h2;
+    [[no_unique_address]] H1 _h1;
+    [[no_unique_address]] H2 _h2;
     unsigned _maxDisplacements;
     size_t _buckets;
     std::vector<Slot> _slots; ///< Way 0 then way 1; empty until written.

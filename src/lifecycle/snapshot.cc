@@ -318,7 +318,7 @@ encodeSnapshot(const std::string &tenant,
     endBlock(out, block);
 
     vat.forEachTable([&](uint16_t sid, uint64_t bitmask,
-                         const CuckooTable<core::ArgKey> &cuckoo) {
+                         const core::VatCuckoo &cuckoo) {
         size_t table = beginBlock(out, BlockType::Table);
         binio::putVarint(out, sid);
         binio::putU64(out, bitmask);

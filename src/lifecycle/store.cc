@@ -50,6 +50,20 @@ MemorySnapshotStore::remove(const std::string &key)
     return true;
 }
 
+bool
+MemorySnapshotStore::take(const std::string &key,
+                          std::vector<uint8_t> &bytes)
+{
+    std::lock_guard<std::mutex> lock(_mutex);
+    auto it = _entries.find(key);
+    if (it == _entries.end())
+        return false;
+    _bytes -= it->second.size();
+    bytes = std::move(it->second);
+    _entries.erase(it);
+    return true;
+}
+
 std::vector<std::string>
 MemorySnapshotStore::keys() const
 {
@@ -189,6 +203,15 @@ DirSnapshotStore::remove(const std::string &key)
         _sizes.erase(fs::path(path).filename().string());
     }
     return std::remove(path.c_str()) == 0;
+}
+
+bool
+DirSnapshotStore::take(const std::string &key, std::vector<uint8_t> &bytes)
+{
+    if (!_ok)
+        return false;
+    bool read = readSnapshotFile(pathFor(key), bytes);
+    return remove(key) && read;
 }
 
 std::vector<std::string>

@@ -3,13 +3,18 @@
  * Snapshot storage backends.
  *
  * The serving layer treats snapshot storage as a key → bytes map with
- * explicit failure: put/get return false instead of throwing, and the
+ * explicit failure: put/take return false instead of throwing, and the
  * caller's fail-closed contract (keep the tenant resident on a failed
- * put, rebuild fresh on a failed get) means a flaky backend can cost
- * warm-up time but never a wrong verdict. Two backends:
+ * put, rebuild fresh on a failed take) means a flaky backend can cost
+ * warm-up time but never a wrong verdict. A restore consumes its
+ * snapshot whatever the outcome, so the service reads it with take(),
+ * which moves the bytes out and drops the key in one call; get()
+ * leaves the key in place for tools and tests. Two backends:
  *
  *  - MemorySnapshotStore: a mutex-guarded hash map; the default when
  *    dracod runs without --snapshot-dir, and what the benches use.
+ *    A CheckService gives each shard its own, so shards never share
+ *    the lock.
  *  - DirSnapshotStore: one `<dir>/<sanitized-key>-<hash>.dtss` file
  *    per tenant, written tmp-then-rename so a crash mid-put never
  *    leaves a torn snapshot under the final name.
@@ -52,6 +57,16 @@ class SnapshotStore
     /** Drop @p key. @return false when it was not present. */
     virtual bool remove(const std::string &key) = 0;
 
+    /**
+     * Move the value of @p key into @p bytes and drop the key: get()
+     * then remove() in one call. The key is dropped even when its
+     * value cannot be read.
+     *
+     * @return false when the key is absent or its value unreadable.
+     */
+    virtual bool take(const std::string &key,
+                      std::vector<uint8_t> &bytes) = 0;
+
     /** @return All stored keys (sorted). */
     virtual std::vector<std::string> keys() const = 0;
 
@@ -62,7 +77,10 @@ class SnapshotStore
     virtual const char *kind() const = 0;
 };
 
-/** In-memory backend; keys() sorts on demand. */
+/**
+ * In-memory backend; keys() sorts on demand. take() is one lock and
+ * one lookup, and moves the value out without copying it.
+ */
 class MemorySnapshotStore final : public SnapshotStore
 {
   public:
@@ -70,6 +88,8 @@ class MemorySnapshotStore final : public SnapshotStore
     bool get(const std::string &key,
              std::vector<uint8_t> &bytes) const override;
     bool remove(const std::string &key) override;
+    bool take(const std::string &key,
+              std::vector<uint8_t> &bytes) override;
     std::vector<std::string> keys() const override;
     uint64_t totalBytes() const override;
     const char *kind() const override { return "memory"; }
@@ -80,7 +100,10 @@ class MemorySnapshotStore final : public SnapshotStore
     uint64_t _bytes = 0;
 };
 
-/** Directory-backed backend: one `.dtss` file per key. */
+/**
+ * Directory-backed backend: one `.dtss` file per key. take() reads the
+ * file, then unlinks it.
+ */
 class DirSnapshotStore final : public SnapshotStore
 {
   public:
@@ -100,6 +123,8 @@ class DirSnapshotStore final : public SnapshotStore
     bool get(const std::string &key,
              std::vector<uint8_t> &bytes) const override;
     bool remove(const std::string &key) override;
+    bool take(const std::string &key,
+              std::vector<uint8_t> &bytes) override;
     std::vector<std::string> keys() const override;
     uint64_t totalBytes() const override;
     const char *kind() const override { return "dir"; }

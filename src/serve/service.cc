@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "lifecycle/snapshot.hh"
-#include "lifecycle/store.hh"
 #include "obs/serveobs.hh"
 #include "obs/tracer.hh"
 #include "support/logging.hh"
@@ -111,18 +110,15 @@ CheckService::CheckService(const ServiceOptions &options)
         // keeps at least one tenant materialized.
         _shardResidentCap = (_options.maxResidentTenants +
                              _options.shards - 1) / _options.shards;
-        _store = _options.snapshotStore;
-        if (!_store) {
-            _ownedStore =
-                std::make_unique<lifecycle::MemorySnapshotStore>();
-            _store = _ownedStore.get();
-        }
     }
 
     _tenants.resize(_options.maxTenants);
     _shards.reserve(_options.shards);
     for (unsigned i = 0; i < _options.shards; ++i) {
         auto shard = std::make_unique<Shard>();
+        if (lifecycleEnabled())
+            shard->store = _options.snapshotStore ? _options.snapshotStore
+                                                  : &shard->ownStore;
         if (_options.session) {
             obs::Tracer *tracer = _options.session->tracer(
                 "serve/shard" + std::to_string(i));
@@ -543,7 +539,7 @@ CheckService::shardLoop(size_t index)
                 // draining while the next whole item fits the budget.
                 if (!items.empty() && charge > budget)
                     break;
-                items.push_back(front);
+                items.push_back(std::move(front));
                 shard.queue.pop_front();
                 shard.queuedRequests -= std::min(shard.queuedRequests,
                                                  charge);
@@ -631,10 +627,10 @@ CheckService::process(Shard &shard, std::span<Item> items,
             break;
           case Op::Evict:
             shard.lru.erase(t->id);
-            if (t->hasSnapshot && _store) {
-                _store->remove(t->name);
+            if (t->hasSnapshot) {
+                shard.store->remove(t->name);
                 t->hasSnapshot = false;
-                _snapshotted.fetch_sub(1, std::memory_order_relaxed);
+                shard.snapshotted.fetch_sub(1, std::memory_order_relaxed);
             }
             // Admin eviction discards state for good: evicted tenants
             // have always reported empty check stats.
@@ -716,10 +712,12 @@ CheckService::materializeChecker(Shard &shard, TenantState &t)
     t.checker = std::make_unique<core::DracoSoftwareChecker>(
         epoch->policy, t.opts.filterCopies);
 
-    if (t.hasSnapshot && _store) {
+    if (t.hasSnapshot) {
         std::vector<uint8_t> bytes;
         std::string error;
-        bool ok = _store->get(t.name, bytes);
+        bool ok = shard.store->take(t.name, bytes);
+        t.hasSnapshot = false;
+        shard.snapshotted.fetch_sub(1, std::memory_order_relaxed);
         if (!ok)
             error = "snapshot missing from store";
 
@@ -744,9 +742,10 @@ CheckService::materializeChecker(Shard &shard, TenantState &t)
                    static_cast<unsigned long long>(
                        epoch->policy->programKey));
             // Fail closed to the *new* epoch: the fresh checker built
-            // above is already the one to serve from. The frozen
-            // counters described the retired chain; drop them too.
-            t.frozenStats = {};
+            // above is already the one to serve from. Its counters
+            // carry on from the frozen ones, as a resident tenant's do
+            // across a swap.
+            t.checker->restoreStats(t.frozenStats);
             _epochs.countStaleSnapshotDiscard();
             if (shard.tracer)
                 shard.tracer->record(obs::EventKind::TenantRestore, 0,
@@ -756,9 +755,9 @@ CheckService::materializeChecker(Shard &shard, TenantState &t)
                                               epoch->policy->programKey,
                                               t.opts.filterCopies,
                                               *t.checker, &error)) {
-            _restores.fetch_add(1, std::memory_order_relaxed);
-            _snapshotBytesRead.fetch_add(bytes.size(),
-                                         std::memory_order_relaxed);
+            shard.restores.fetch_add(1, std::memory_order_relaxed);
+            shard.snapshotBytesRead.fetch_add(bytes.size(),
+                                              std::memory_order_relaxed);
             if (shard.tracer)
                 shard.tracer->record(obs::EventKind::TenantRestore, 0, 0,
                                      0, bytes.size());
@@ -771,14 +770,11 @@ CheckService::materializeChecker(Shard &shard, TenantState &t)
                  error.c_str());
             t.checker = std::make_unique<core::DracoSoftwareChecker>(
                 epoch->policy, t.opts.filterCopies);
-            _restoreFailures.fetch_add(1, std::memory_order_relaxed);
+            shard.restoreFailures.fetch_add(1, std::memory_order_relaxed);
             if (shard.tracer)
                 shard.tracer->record(obs::EventKind::TenantRestore, 0, 0,
                                      0, 0);
         }
-        _store->remove(t.name);
-        t.hasSnapshot = false;
-        _snapshotted.fetch_sub(1, std::memory_order_relaxed);
     }
 
     if (_shardResidentCap)
@@ -800,11 +796,12 @@ CheckService::enforceResidentCap(Shard &shard)
         std::vector<uint8_t> bytes = lifecycle::encodeSnapshot(
             victim->name, *victim->checker, victim->opts.filterCopies);
         const size_t snapshotBytes = bytes.size();
-        if (!_store || !_store->put(victim->name, std::move(bytes))) {
+        if (!shard.store->put(victim->name, std::move(bytes))) {
             // Keep the victim resident rather than drop state we could
             // not persist; re-touch it hottest so the next pass tries a
             // different victim first.
-            _snapshotPutFailures.fetch_add(1, std::memory_order_relaxed);
+            shard.snapshotPutFailures.fetch_add(1,
+                                                std::memory_order_relaxed);
             shard.lru.touch(victimId);
             warn("CheckService: snapshot put failed for tenant '%s'; "
                  "keeping resident", victim->name.c_str());
@@ -814,10 +811,10 @@ CheckService::enforceResidentCap(Shard &shard)
         victim->frozenStats = victim->checker->stats();
         victim->checker.reset();
         victim->hasSnapshot = true;
-        _snapshotted.fetch_add(1, std::memory_order_relaxed);
-        _evictions.fetch_add(1, std::memory_order_relaxed);
-        _snapshotBytesWritten.fetch_add(snapshotBytes,
-                                        std::memory_order_relaxed);
+        shard.snapshotted.fetch_add(1, std::memory_order_relaxed);
+        shard.evictions.fetch_add(1, std::memory_order_relaxed);
+        shard.snapshotBytesWritten.fetch_add(snapshotBytes,
+                                             std::memory_order_relaxed);
         if (shard.tracer)
             shard.tracer->record(obs::EventKind::TenantSnapshot, 0, 0, 0,
                                  snapshotBytes);
@@ -892,26 +889,29 @@ CheckService::residentTenants() const
 void
 CheckService::serviceStats(ServiceStatsSnapshot &out) const
 {
+    constexpr auto relaxed = std::memory_order_relaxed;
+    out = {};
     out.tenants = _tenantCount.load(std::memory_order_acquire);
     out.resident = residentTenants();
-    out.snapshotted = _snapshotted.load(std::memory_order_relaxed);
-    out.evictions = _evictions.load(std::memory_order_relaxed);
-    out.restores = _restores.load(std::memory_order_relaxed);
-    out.restoreFailures =
-        _restoreFailures.load(std::memory_order_relaxed);
-    out.snapshotPutFailures =
-        _snapshotPutFailures.load(std::memory_order_relaxed);
     out.dedupPolicies = _epochs.store().size();
     out.dedupHits = _epochs.store().hits();
-    out.snapshotBytesWritten =
-        _snapshotBytesWritten.load(std::memory_order_relaxed);
-    out.snapshotBytesRead =
-        _snapshotBytesRead.load(std::memory_order_relaxed);
-    out.storeBytes = _store ? _store->totalBytes() : 0;
-    out.checks = 0;
-    for (const auto &shard : _shards)
-        out.checks += shard->processedMirror.load(
-            std::memory_order_relaxed);
+    // An injected store is shared by every shard, so it counts once;
+    // the shards' own stores are empty then.
+    if (lifecycleEnabled() && _options.snapshotStore)
+        out.storeBytes = _options.snapshotStore->totalBytes();
+    for (const auto &shard : _shards) {
+        out.snapshotted += shard->snapshotted.load(relaxed);
+        out.evictions += shard->evictions.load(relaxed);
+        out.restores += shard->restores.load(relaxed);
+        out.restoreFailures += shard->restoreFailures.load(relaxed);
+        out.snapshotPutFailures +=
+            shard->snapshotPutFailures.load(relaxed);
+        out.snapshotBytesWritten +=
+            shard->snapshotBytesWritten.load(relaxed);
+        out.snapshotBytesRead += shard->snapshotBytesRead.load(relaxed);
+        out.storeBytes += shard->ownStore.totalBytes();
+        out.checks += shard->processedMirror.load(relaxed);
+    }
     out.rejects = totalRejects();
     out.policySwaps = _epochs.swaps();
     out.policySwapFailures = _epochs.swapFailures();
@@ -993,32 +993,26 @@ CheckService::exportMetrics(MetricRegistry &registry,
             core::exportStats(t->frozenStats, registry, tp + ".check");
     }
 
+    ServiceStatsSnapshot svc;
+    serviceStats(svc);
     std::string lp = name("lifecycle");
     registry.setCounter(lp + ".enabled", lifecycleEnabled() ? 1 : 0);
     registry.setCounter(lp + ".resident_cap",
                         _options.maxResidentTenants);
-    registry.setCounter(lp + ".resident", residentTenants());
-    registry.setCounter(lp + ".snapshotted",
-                        _snapshotted.load(std::memory_order_relaxed));
-    registry.setCounter(lp + ".evictions",
-                        _evictions.load(std::memory_order_relaxed));
-    registry.setCounter(lp + ".restores",
-                        _restores.load(std::memory_order_relaxed));
-    registry.setCounter(
-        lp + ".restore_failures",
-        _restoreFailures.load(std::memory_order_relaxed));
-    registry.setCounter(
-        lp + ".snapshot_put_failures",
-        _snapshotPutFailures.load(std::memory_order_relaxed));
-    registry.setCounter(
-        lp + ".snapshot_bytes_written",
-        _snapshotBytesWritten.load(std::memory_order_relaxed));
-    registry.setCounter(
-        lp + ".snapshot_bytes_read",
-        _snapshotBytesRead.load(std::memory_order_relaxed));
-    if (_store) {
-        registry.setCounter(lp + ".store_bytes", _store->totalBytes());
-        registry.setText(lp + ".store_kind", _store->kind());
+    registry.setCounter(lp + ".resident", svc.resident);
+    registry.setCounter(lp + ".snapshotted", svc.snapshotted);
+    registry.setCounter(lp + ".evictions", svc.evictions);
+    registry.setCounter(lp + ".restores", svc.restores);
+    registry.setCounter(lp + ".restore_failures", svc.restoreFailures);
+    registry.setCounter(lp + ".snapshot_put_failures",
+                        svc.snapshotPutFailures);
+    registry.setCounter(lp + ".snapshot_bytes_written",
+                        svc.snapshotBytesWritten);
+    registry.setCounter(lp + ".snapshot_bytes_read",
+                        svc.snapshotBytesRead);
+    if (lifecycleEnabled()) {
+        registry.setCounter(lp + ".store_bytes", svc.storeBytes);
+        registry.setText(lp + ".store_kind", _shards[0]->store->kind());
     }
     _epochs.store().exportMetrics(registry, lp + ".dedup");
     registry.setGauge(lp + ".dedup.ratio",

@@ -24,6 +24,11 @@
  * the shard's recent measured drain time per check). Nothing ever
  * blocks a producer and queue memory is strictly bounded.
  *
+ * Under a resident cap, a tenant's evictions and restores run in its
+ * shard's drain too, so each shard keeps its own snapshot store
+ * (unless one is injected) and its own lifecycle counters: a tenant
+ * switch touches only its shard's memory.
+ *
  * Workers drain up to maxBatch requests per wakeup so queue-lock and
  * telemetry costs amortize across a batch. A caller that runs its own
  * batch runs the same drain, process(), on one item, and skips the
@@ -39,7 +44,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -50,10 +54,12 @@
 
 #include "core/software.hh"
 #include "lifecycle/resident_lru.hh"
+#include "lifecycle/store.hh"
 #include "policy/epoch.hh"
 #include "seccomp/profile.hh"
 #include "serve/types.hh"
 #include "support/metrics.hh"
+#include "support/ring.hh"
 #include "support/threadpool.hh"
 
 namespace draco::obs {
@@ -346,7 +352,13 @@ class CheckService
     struct Shard {
         std::mutex mutex;
         std::condition_variable wake;
-        std::deque<Item> queue;       ///< Guarded by mutex.
+        /**
+         * FIFO of admitted items (guarded). A ring that keeps its
+         * capacity, so enqueue and drain do not allocate once it has
+         * grown to the shard's peak depth (at most queueCapacity
+         * items: each charges at least one request).
+         */
+        Ring<Item> queue;
         uint32_t queuedRequests = 0;  ///< Requests in queue (guarded).
         uint64_t queueFullRejects = 0;///< Shed at capacity (guarded).
         RunningStat depthStat;        ///< Depth at enqueue (guarded).
@@ -374,6 +386,26 @@ class CheckService
         RunningStat batchStat;   ///< Requests per drain.
         uint32_t peakDepth = 0;  ///< Deepest queue seen at enqueue.
         lifecycle::ResidentLru lru; ///< Resident tenants, LRU order.
+
+        /**
+         * Where this shard's evicted tenants wait: ownStore, or the
+         * injected ServiceOptions::snapshotStore that every shard
+         * shares. Null when no resident cap is set.
+         */
+        lifecycle::SnapshotStore *store = nullptr;
+        lifecycle::MemorySnapshotStore ownStore;
+
+        /**
+         * Lifecycle counters. Only the drain writes them; relaxed
+         * atomics so a live scrape can sum them (serviceStats()).
+         */
+        std::atomic<uint32_t> snapshotted{0};
+        std::atomic<uint64_t> evictions{0};
+        std::atomic<uint64_t> restores{0};
+        std::atomic<uint64_t> restoreFailures{0};
+        std::atomic<uint64_t> snapshotPutFailures{0};
+        std::atomic<uint64_t> snapshotBytesWritten{0};
+        std::atomic<uint64_t> snapshotBytesRead{0};
 
         /** Cross-thread mirrors of drain-owned state. */
         std::atomic<uint32_t> resident{0};
@@ -413,16 +445,19 @@ class CheckService
 
     /**
      * Build tenant @p t's checker in its shard's drain, replaying its
-     * `.dtss` snapshot when one exists. A failed restore falls back
-     * closed: the checker rebuilds fresh from the shared policy (cold
-     * VAT, correct verdicts) and the failure is counted.
+     * `.dtss` snapshot when one exists; take() consumes the snapshot
+     * whatever the outcome. A snapshot from a retired epoch is
+     * discarded, and the fresh checker keeps the tenant's frozen
+     * counters, as a resident tenant's swap does. A failed restore
+     * falls back closed: the checker rebuilds fresh from the shared
+     * policy (cold VAT, correct verdicts) and the failure is counted.
      */
     void materializeChecker(Shard &shard, TenantState &t);
 
     /**
      * Post-drain eviction hook: while the shard is over its resident
-     * budget, serialize the LRU-coldest tenant to the snapshot store
-     * and drop its checker. A failed store put keeps the victim
+     * budget, serialize the LRU-coldest tenant to the shard's snapshot
+     * store and drop its checker. A failed store put keeps the victim
      * resident (re-touched hottest) rather than dropping state.
      */
     void enforceResidentCap(Shard &shard);
@@ -445,18 +480,8 @@ class CheckService
     // ---- policy epochs (see src/policy/) ----
     policy::EpochManager _epochs;
 
-    // ---- lifecycle (see src/lifecycle/) ----
-    std::unique_ptr<lifecycle::SnapshotStore> _ownedStore;
-    lifecycle::SnapshotStore *_store = nullptr;
+    // ---- lifecycle (see src/lifecycle/; stores are per shard) ----
     uint32_t _shardResidentCap = 0; ///< Per-shard budget; 0 = unbounded.
-
-    std::atomic<uint32_t> _snapshotted{0};
-    std::atomic<uint64_t> _evictions{0};
-    std::atomic<uint64_t> _restores{0};
-    std::atomic<uint64_t> _restoreFailures{0};
-    std::atomic<uint64_t> _snapshotPutFailures{0};
-    std::atomic<uint64_t> _snapshotBytesWritten{0};
-    std::atomic<uint64_t> _snapshotBytesRead{0};
 
     std::atomic<bool> _stopping{false};
     support::ThreadPool _pool;

@@ -148,8 +148,9 @@ struct ServiceOptions {
 
     /**
      * Snapshot backend for evicted tenants (not owned; must outlive
-     * the service). nullptr with a resident cap set uses an internal
-     * in-memory store.
+     * the service), shared by every shard. nullptr with a resident
+     * cap set gives each shard its own in-memory store, so the shards
+     * never contend on one.
      */
     lifecycle::SnapshotStore *snapshotStore = nullptr;
 

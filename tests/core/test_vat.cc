@@ -193,7 +193,7 @@ TEST(Vat, OutOfOrderConfigureEnumeratesAscending)
     vat.configure(12, kReadMask, 4);
     std::vector<uint16_t> order;
     vat.forEachTable([&](uint16_t sid, uint64_t,
-                         const CuckooTable<ArgKey> &) {
+                         const VatCuckoo &) {
         order.push_back(sid);
     });
     EXPECT_EQ(order, (std::vector<uint16_t>{7, 12, 40, 300}));
@@ -247,6 +247,40 @@ TEST(Vat, RandomizedInsertLookupProperty)
     EXPECT_EQ(vat.evictions(), 0u);
     for (const auto &key : keys)
         EXPECT_TRUE(vat.lookup(0, key).has_value());
+}
+
+TEST(Vat, ConfigureSpecsLaysOutLikePerTableConfigure)
+{
+    // Mixed key widths and set estimates, so the tables' page-rounded
+    // regions differ in size.
+    const std::vector<CheckSpec> specs = {
+        {0, kReadMask, 4},
+        {3, 0xffULL, 1},
+        {9, kReadMask, 300},
+        {40, ~0ULL >> 16, 2000},
+        {257, 0xff00ULL, 64},
+    };
+    Vat bulk;
+    bulk.configure(specs);
+    Vat perTable;
+    for (const CheckSpec &spec : specs)
+        perTable.configure(spec.sid, spec.bitmask, spec.estimatedSets);
+
+    const VatToken origin{CuckooWay::H1, 0};
+    const uint64_t bulkOrigin = bulk.entryAddress(specs[0].sid, origin);
+    const uint64_t perTableOrigin =
+        perTable.entryAddress(specs[0].sid, origin);
+    for (const CheckSpec &spec : specs) {
+        EXPECT_EQ(bulk.tableIndex(spec.sid), perTable.tableIndex(spec.sid));
+        EXPECT_EQ(bulk.buckets(spec.sid), perTable.buckets(spec.sid));
+        for (const VatToken &token :
+             {VatToken{CuckooWay::H1, 0}, VatToken{CuckooWay::H2, 5},
+              VatToken{CuckooWay::H2, ~0ULL}})
+            EXPECT_EQ(bulk.entryAddress(spec.sid, token) - bulkOrigin,
+                      perTable.entryAddress(spec.sid, token) -
+                          perTableOrigin)
+                << "sid " << spec.sid;
+    }
 }
 
 TEST(VatDeathTest, ConfigureWithoutBitmaskIsFatal)

@@ -138,6 +138,14 @@ TEST(Cuckoo, LookupOnEmptyTableCountsButDoesNotHash)
     EXPECT_EQ(t.stats().hits, 1u);
 }
 
+TEST(CuckooDeathTest, BucketCountMustBeAPowerOfTwo)
+{
+    EXPECT_EXIT(makeTable(12), testing::ExitedWithCode(1),
+                "not a power of two");
+    EXPECT_EXIT(makeTable(0), testing::ExitedWithCode(1),
+                "not a power of two");
+}
+
 TEST(Cuckoo, FirstWriteAllocatesSlots)
 {
     auto placed = makeTable(8);

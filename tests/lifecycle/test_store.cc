@@ -1,9 +1,10 @@
 /**
  * @file
  * SnapshotStore backend tests: the memory and directory backends obey
- * the same put/get/remove/keys/totalBytes contract, and the directory
- * backend adopts pre-existing snapshot files, sanitizes hostile keys,
- * and survives removal of its directory (failed put, not a crash).
+ * the same put/get/remove/take/keys/totalBytes contract, and the
+ * directory backend adopts pre-existing snapshot files, sanitizes
+ * hostile keys, and survives removal of its directory (failed put,
+ * not a crash).
  */
 
 #include <gtest/gtest.h>
@@ -73,6 +74,20 @@ exerciseContract(SnapshotStore &store)
     EXPECT_FALSE(store.remove("tenant-a"));
     EXPECT_EQ(store.totalBytes(), 4u);
     EXPECT_EQ(store.keys().size(), 1u);
+
+    // take() hands back the stored bytes and drops the key.
+    ASSERT_TRUE(store.put("tenant-c", bytesOf("ccc")));
+    EXPECT_EQ(store.totalBytes(), 7u);
+    EXPECT_EQ(store.keys().size(), 2u);
+    got.clear();
+    ASSERT_TRUE(store.take("tenant-c", got));
+    EXPECT_EQ(got, bytesOf("ccc"));
+    EXPECT_FALSE(store.get("tenant-c", got));
+    EXPECT_EQ(store.keys().size(), 1u);
+    EXPECT_EQ(store.totalBytes(), 4u);
+    EXPECT_FALSE(store.take("tenant-c", got));
+    EXPECT_FALSE(store.take("tenant-never", got));
+    EXPECT_EQ(store.totalBytes(), 4u);
 }
 
 TEST(MemoryStore, Contract)

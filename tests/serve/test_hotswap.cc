@@ -2,12 +2,13 @@
  * @file
  * Live policy hot-swap tests: the swap boundary is exact (old policy
  * up to the swap point, new policy after), the VAT restarts cold under
- * the new epoch while lifetime counters carry over, a snapshot taken
- * under a retired epoch fails closed to the new policy, concurrent
- * swap storms stay consistent with per-epoch reference evaluation
- * (this file runs under the TSan CI job), verdict streams are
- * shard-count invariant with swaps in flight, and UpdateProfile works
- * end to end over the wire.
+ * the new epoch while lifetime counters carry over (also when the swap
+ * finds the tenant evicted), a snapshot taken under a retired epoch
+ * fails closed to the new policy, concurrent swap storms stay
+ * consistent with per-epoch reference evaluation (this file runs
+ * under the TSan CI job), verdict streams are shard-count invariant
+ * with swaps in flight, and UpdateProfile works end to end over the
+ * wire.
  */
 
 #include <gtest/gtest.h>
@@ -138,6 +139,60 @@ TEST(HotSwap, SwapInvalidatesTheVatButKeepsLifetimeCounters)
     EXPECT_EQ(after.check.vatHits, 4u);
     // Lifetime counters survived the swap (cumulative, not reset).
     EXPECT_EQ(after.check.checks, warm.check.checks + 2);
+}
+
+TEST(HotSwap, EvictedSwapKeepsCountersLikeAResidentSwap)
+{
+    // The same checks, eviction and swap run through a capped service,
+    // where the swap finds the tenant snapshotted, and an uncapped
+    // one, where it finds the tenant resident. Both must report the
+    // same counters: the resident cap is not visible in TenantStats.
+    ServiceOptions cappedOptions;
+    cappedOptions.shards = 1;
+    cappedOptions.maxResidentTenants = 1;
+    CheckService capped(cappedOptions);
+    CheckService uncapped;
+
+    std::vector<TenantStats> stats;
+    for (CheckService *service : {&capped, &uncapped}) {
+        TenantId id = service->createTenant("t", profileFd1());
+        TenantId other = service->createTenant("other", profileFd1());
+        ASSERT_NE(id, kInvalidTenant);
+        ASSERT_NE(other, kInvalidTenant);
+        for (int i = 0; i < 3; ++i)
+            service->check(id, request(os::sc::write, 1));
+        service->check(id, request(os::sc::write, 2));
+        service->check(id, request(os::sc::read));
+        // Under the cap this evicts "t" to a snapshot.
+        service->check(other, request(os::sc::read));
+        ASSERT_TRUE(service->swapProfile(id, profileFd12()));
+        for (int i = 0; i < 2; ++i) {
+            service->check(id, request(os::sc::write, 1));
+            service->check(id, request(os::sc::write, 2));
+        }
+        stats.emplace_back();
+        ASSERT_TRUE(service->tenantStats(id, stats.back()));
+    }
+
+    ServiceStatsSnapshot svc;
+    capped.serviceStats(svc);
+    EXPECT_EQ(svc.staleSnapshotDiscards, 1u)
+        << "the swap did not find the tenant snapshotted";
+
+    const TenantStats &c = stats[0];
+    const TenantStats &u = stats[1];
+    EXPECT_EQ(c.check.checks, u.check.checks);
+    EXPECT_EQ(c.check.sptAllowAll, u.check.sptAllowAll);
+    EXPECT_EQ(c.check.vatHits, u.check.vatHits);
+    EXPECT_EQ(c.check.filterRuns, u.check.filterRuns);
+    EXPECT_EQ(c.check.denials, u.check.denials);
+    EXPECT_EQ(c.check.filterInsns, u.check.filterInsns);
+    EXPECT_EQ(c.check.vatInsertions, u.check.vatInsertions);
+    EXPECT_EQ(c.allowed, u.allowed);
+    EXPECT_EQ(c.denied, u.denied);
+    EXPECT_EQ(c.check.checks, 9u);
+    for (const TenantStats &s : stats)
+        EXPECT_EQ(s.check.checks, s.allowed + s.denied);
 }
 
 TEST(HotSwap, SwapFailsClosedOnUnknownOrEvictedTenants)

@@ -114,6 +114,11 @@ TEST(ServeLifecycle, CappedVerdictsMatchAllResident)
     EXPECT_GT(stats.restores, 0u);
     EXPECT_EQ(stats.restoreFailures, 0u);
     EXPECT_EQ(stats.resident + stats.snapshotted, kTenants);
+    // Summed over the two shards' own stores and counters: every
+    // snapshot written and not yet read back is still stored.
+    EXPECT_EQ(stats.storeBytes,
+              stats.snapshotBytesWritten - stats.snapshotBytesRead);
+    EXPECT_EQ(stats.snapshotted, stats.evictions - stats.restores);
     // All 24 tenants share one semantic profile.
     EXPECT_EQ(stats.dedupPolicies, 1u);
     EXPECT_EQ(stats.dedupHits, kTenants - 1);
@@ -296,6 +301,34 @@ TEST(ServeLifecycle, MetricsExportLifecycleBlock)
               "memory");
     EXPECT_GT(registry.counterValue("serve.lifecycle.store_bytes"), 0u);
     EXPECT_EQ(registry.gaugeValue("serve.lifecycle.dedup.ratio"), 2.0);
+}
+
+TEST(ServeLifecycle, InjectedStoreIsSharedByEveryShardAndCountedOnce)
+{
+    lifecycle::MemorySnapshotStore store;
+    ServiceOptions options;
+    options.shards = 2;
+    options.maxResidentTenants = 2; // one resident tenant per shard
+    options.snapshotStore = &store;
+    CheckService service(options);
+    // Tenants alternate shards: a, c on shard 0; b, d on shard 1.
+    for (const char *name : {"a", "b", "c", "d"}) {
+        TenantId id = service.createTenant(name, testProfile());
+        ASSERT_EQ(service.check(id, request(os::sc::read)).status,
+                  CheckStatus::Allowed);
+    }
+
+    // Each shard evicted its first tenant into the one injected store.
+    EXPECT_EQ(store.keys(), (std::vector<std::string>{"a", "b"}));
+    ServiceStatsSnapshot stats;
+    service.serviceStats(stats);
+    EXPECT_EQ(stats.snapshotted, 2u);
+    EXPECT_EQ(stats.storeBytes, store.totalBytes());
+    EXPECT_EQ(stats.storeBytes, stats.snapshotBytesWritten);
+    MetricRegistry registry;
+    service.exportMetrics(registry, "serve");
+    EXPECT_EQ(registry.counterValue("serve.lifecycle.store_bytes"),
+              store.totalBytes());
 }
 
 TEST(ServeLifecycle, UncappedServiceExportsDisabledLifecycle)
