@@ -382,6 +382,21 @@ benchWorkloads()
     return apps;
 }
 
+std::vector<serve::loadgen::TenantLoad>
+tenantTraffic(unsigned tenants, size_t perTenant)
+{
+    const auto &apps = benchWorkloads();
+    std::vector<serve::loadgen::TenantLoad> out(tenants);
+    for (unsigned t = 0; t < tenants; ++t) {
+        const workload::AppModel &app = *apps[t % apps.size()];
+        workload::TraceGenerator gen(app, splitSeed(workloadSeed(app), t));
+        out[t].name = "t" + std::to_string(t);
+        for (const workload::TraceEvent &ev : gen.generate(perTenant))
+            out[t].reqs.push_back(ev.req);
+    }
+    return out;
+}
+
 void
 printNormalizedFigure(
     const std::string &title,

@@ -20,6 +20,7 @@
 #ifndef DRACO_BENCH_COMMON_HH
 #define DRACO_BENCH_COMMON_HH
 
+#include <chrono>
 #include <functional>
 #include <future>
 #include <map>
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "draco/draco.hh"
+#include "serve/loadgen.hh"
 #include "support/threadpool.hh"
 
 namespace draco::bench {
@@ -222,6 +224,24 @@ sim::RunResult runExperiment(const workload::AppModel &app,
 
 /** Row labels for the figure tables: all workloads, figure order. */
 const std::vector<const workload::AppModel *> &benchWorkloads();
+
+/** @return Wall seconds elapsed since @p since. */
+inline double
+secondsSince(std::chrono::steady_clock::time_point since)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         since)
+        .count();
+}
+
+/**
+ * Request streams for the serving benches: tenant t, named `t<t>`,
+ * replays @p perTenant calls of bench workload t (wrapping) from seed
+ * splitSeed(workloadSeed(app), t), so every run sends byte-identical
+ * streams.
+ */
+std::vector<serve::loadgen::TenantLoad> tenantTraffic(unsigned tenants,
+                                                      size_t perTenant);
 
 /**
  * Emit a normalized-latency figure: one row per workload plus the

@@ -4,34 +4,33 @@
  * in flight versus attach-once, plus the latency of the swap itself.
  *
  * Eight tenants replay per-tenant workload streams closed-loop
- * (blocking 32-request batches, one driver thread per tenant) against
+ * (blocking 32-request batches, one driver thread and LocalClient per
+ * tenant; a batch drains on its caller when the shard is idle) against
  * an in-process 2-shard CheckService. The sweep varies the swap
  * cadence: attach-once (the baseline — no swap ever lands, pricing the
  * subsystem's zero-cost claim for the hot path) and a hot-swap every
- * 1024 / 256 / 64 completed batches per tenant, rotating
- * docker-default <-> gvisor. Each cadence runs kRepeats times and
- * reports the minimum wall time; every swapProfile() call is timed
- * individually (enqueue, drain to the FIFO boundary, publish, checker
- * rebuild) into the swap-latency quantiles.
+ * 1024 / 256 / 64 completed batches per tenant, rotating gvisor,
+ * docker-default. Each cadence runs kRepeats times and reports the
+ * minimum wall time; every updateProfile() call is timed individually
+ * (catalog lookup, compile or share, drain to the FIFO boundary,
+ * publish, checker rebuild) into the swap-latency quantiles.
  *
- * Every cadence also runs once on a 1-shard service; the per-tenant
- * (checks, allowed, denied, vatHits, epoch, swaps) fingerprint must be
- * byte-identical across shard counts — the swap-boundary determinism
+ * Every cadence also runs once on a 1-shard service; each tenant's
+ * server-side stats, every counter but the shard, must be identical
+ * across repeats and shard counts — the swap-boundary determinism
  * contract, also test- and CI-enforced — or the bench aborts.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common.hh"
-#include "serve/client.hh"
-#include "serve/service.hh"
 
 using namespace draco;
 using namespace draco::bench;
+namespace loadgen = draco::serve::loadgen;
 
 namespace {
 
@@ -41,51 +40,17 @@ constexpr unsigned kShards = 2;
 constexpr int kRepeats = 3;
 constexpr uint64_t kCadences[] = {0, 1024, 256, 64};
 
-double
-elapsedSeconds(std::chrono::steady_clock::time_point since)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - since)
-        .count();
-}
-
-struct TenantTraffic {
-    std::string name;
-    std::vector<os::SyscallRequest> reqs;
-};
-
-/** Same construction as serve_latency: byte-identical streams. */
-std::vector<TenantTraffic>
-makeTraffic()
-{
-    const auto &apps = benchWorkloads();
-    const size_t perTenant = std::max<size_t>(1, benchCalls() / kTenants);
-    std::vector<TenantTraffic> out(kTenants);
-    for (unsigned t = 0; t < kTenants; ++t) {
-        const workload::AppModel &app = *apps[t % apps.size()];
-        out[t].name = "t" + std::to_string(t);
-        workload::TraceGenerator gen(app, splitSeed(workloadSeed(app), t));
-        workload::Trace trace = gen.generate(perTenant);
-        out[t].reqs.reserve(trace.size());
-        for (const workload::TraceEvent &ev : trace)
-            out[t].reqs.push_back(ev.req);
-    }
-    return out;
-}
-
-/** Per-tenant verdict/epoch fingerprint (must be shard-invariant). */
-using Fingerprint = std::vector<std::vector<uint64_t>>;
-
 struct PhaseResult {
     double wallSeconds = 0.0;
     uint64_t checks = 0;
     uint64_t swaps = 0;
     QuantileSketch swapUs;
-    Fingerprint fingerprint;
+    std::vector<serve::TenantStats> fingerprint;
 };
 
+/** One run of @p tenants (fresh tallies: taken by value). */
 PhaseResult
-runPhase(const std::vector<TenantTraffic> &traffic, uint64_t cadence,
+runPhase(std::vector<loadgen::TenantLoad> tenants, uint64_t cadence,
          unsigned shards)
 {
     serve::ServiceOptions options;
@@ -93,69 +58,32 @@ runPhase(const std::vector<TenantTraffic> &traffic, uint64_t cadence,
     options.queueCapacity = kTenants * kClientBatch * 4;
     options.maxBatch = 64;
     serve::CheckService service(options);
+    serve::LocalClient client(service);
+    if (const loadgen::TenantLoad *failed =
+            loadgen::createTenants(client, tenants, "docker-default"))
+        fatal("policy_swap: createTenant(%s) failed",
+              failed->name.c_str());
 
-    const seccomp::Profile base =
-        *serve::builtinProfileByName("docker-default");
-    const seccomp::Profile alt = *serve::builtinProfileByName("gvisor");
-
-    std::vector<serve::TenantId> ids(kTenants);
-    for (unsigned t = 0; t < kTenants; ++t) {
-        ids[t] = service.createTenant(traffic[t].name, base);
-        if (ids[t] == serve::kInvalidTenant)
-            fatal("policy_swap: createTenant(%s) failed",
-                  traffic[t].name.c_str());
-    }
-
-    std::vector<QuantileSketch> swapSketch(kTenants);
-    std::vector<uint64_t> swapCount(kTenants, 0);
-
+    loadgen::ClosedLoop loop;
+    loop.batch = kClientBatch;
+    loop.swap.every = cadence;
+    loop.swap.profiles = {"gvisor", "docker-default"};
     PhaseResult result;
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(kTenants);
-    for (unsigned t = 0; t < kTenants; ++t) {
-        threads.emplace_back([&, t] {
-            const auto &reqs = traffic[t].reqs;
-            std::vector<serve::CheckResponse> resps(kClientBatch);
-            serve::Batch done;
-            uint64_t batches = 0;
-            for (size_t pos = 0; pos < reqs.size();
-                 pos += kClientBatch) {
-                const uint32_t n = static_cast<uint32_t>(
-                    std::min<size_t>(kClientBatch, reqs.size() - pos));
-                service.submitBatch(ids[t], reqs.data() + pos, n,
-                                    resps.data(), done);
-                done.wait();
-                ++batches;
-                if (cadence > 0 && batches % cadence == 0 &&
-                    pos + n < reqs.size()) {
-                    const seccomp::Profile &next =
-                        (swapCount[t] % 2) ? base : alt;
-                    const auto s0 = std::chrono::steady_clock::now();
-                    if (!service.swapProfile(ids[t], next))
-                        fatal("policy_swap: swapProfile failed");
-                    swapSketch[t].add(elapsedSeconds(s0) * 1e6);
-                    ++swapCount[t];
-                }
-            }
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-    result.wallSeconds = elapsedSeconds(t0);
+    loadgen::runClosedLoop(tenants, loop, [&service] {
+        return std::make_unique<serve::LocalClient>(service);
+    });
+    result.wallSeconds = secondsSince(t0);
 
-    for (unsigned t = 0; t < kTenants; ++t) {
-        serve::TenantStats stats;
-        if (!service.tenantStats(ids[t], stats))
-            fatal("policy_swap: tenantStats(%s) failed",
-                  traffic[t].name.c_str());
-        result.fingerprint.push_back(
-            {stats.check.checks, stats.check.vatHits,
-             stats.check.filterRuns, stats.allowed, stats.denied,
-             stats.epoch, stats.swaps});
-        result.swaps += stats.swaps;
-        result.swapUs.merge(swapSketch[t]);
+    for (const loadgen::TenantLoad &tenant : tenants) {
+        if (tenant.tally.swapFailures > 0)
+            fatal("policy_swap: swapProfile failed");
+        result.swapUs.merge(tenant.tally.swapUs);
     }
+    if (!loadgen::readFingerprint(client, tenants, result.fingerprint))
+        fatal("policy_swap: tenantStats failed");
+    for (const serve::TenantStats &stats : result.fingerprint)
+        result.swaps += stats.swaps;
     service.stop();
     result.checks = service.totalChecks();
     return result;
@@ -167,7 +95,8 @@ int
 main(int argc, char **argv)
 {
     BenchReport report("policy_swap", argc, argv);
-    const std::vector<TenantTraffic> traffic = makeTraffic();
+    const std::vector<loadgen::TenantLoad> traffic = tenantTraffic(
+        kTenants, std::max<size_t>(1, benchCalls() / kTenants));
 
     TextTable table("policy hot-swap cost (" + std::to_string(kTenants) +
                     " tenants, " + std::to_string(kShards) +
@@ -181,14 +110,14 @@ main(int argc, char **argv)
     for (uint64_t cadence : kCadences) {
         PhaseResult best;
         QuantileSketch swapUs;
-        Fingerprint expected;
+        std::vector<serve::TenantStats> expected;
         for (int repeat = 0; repeat < kRepeats; ++repeat) {
             PhaseResult r = runPhase(traffic, cadence, kShards);
             // Repeats replay identical streams: any fingerprint drift
             // is nondeterminism, not noise.
             if (expected.empty())
                 expected = r.fingerprint;
-            else if (r.fingerprint != expected)
+            else if (!loadgen::sameFingerprint(r.fingerprint, expected))
                 fatal("policy_swap: cadence %llu fingerprint drifted "
                       "across repeats",
                       static_cast<unsigned long long>(cadence));
@@ -199,7 +128,8 @@ main(int argc, char **argv)
         }
         // Shard-count invariance: the 1-shard fingerprint must match
         // the 2-shard one — the swap-boundary determinism contract.
-        if (runPhase(traffic, cadence, 1).fingerprint != expected)
+        if (!loadgen::sameFingerprint(
+                runPhase(traffic, cadence, 1).fingerprint, expected))
             fatal("policy_swap: cadence %llu verdict fingerprint "
                   "differs between 1 and %u shards",
                   static_cast<unsigned long long>(cadence), kShards);

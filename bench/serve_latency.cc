@@ -25,13 +25,12 @@
  * obs hub after the last obs-on run: the numbers dracod would serve
  * from /metrics under this load.
  *
- * Per-tenant verdict counts are asserted identical across every run
- * of both phases — observability must not perturb verdicts (the
- * determinism contract; also test-enforced in tests/serve).
+ * Each tenant's server-side stats, every counter but the shard, are
+ * asserted identical across every run of both phases — observability
+ * must not perturb verdicts, VAT hits or filter runs (the determinism
+ * contract; also test-enforced in tests/serve).
  */
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -44,9 +43,11 @@
 #include "obs/serveobs.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
+#include "serve/transport.hh"
 
 using namespace draco;
 using namespace draco::bench;
+namespace loadgen = draco::serve::loadgen;
 
 namespace {
 
@@ -55,72 +56,22 @@ constexpr uint32_t kClientBatch = 32;
 constexpr unsigned kShards = 4;
 constexpr int kRepeats = 3;
 
-double
-elapsedSeconds(std::chrono::steady_clock::time_point since)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - since)
-        .count();
-}
-
-struct TenantTraffic {
-    std::string name;
-    std::vector<os::SyscallRequest> reqs;
-};
-
-/**
- * Tenant t replays bench workload t (wrapping) from its own split
- * seed, so every phase and repeat sends byte-identical streams.
- */
-std::vector<TenantTraffic>
-makeTraffic()
-{
-    const auto &apps = benchWorkloads();
-    const size_t perTenant = std::max<size_t>(1, benchCalls() / kTenants);
-    std::vector<TenantTraffic> out(kTenants);
-    for (unsigned t = 0; t < kTenants; ++t) {
-        const workload::AppModel &app = *apps[t % apps.size()];
-        out[t].name = "t" + std::to_string(t);
-        workload::TraceGenerator gen(app, splitSeed(workloadSeed(app), t));
-        workload::Trace trace = gen.generate(perTenant);
-        out[t].reqs.reserve(trace.size());
-        for (const workload::TraceEvent &ev : trace)
-            out[t].reqs.push_back(ev.req);
-    }
-    return out;
-}
-
 /** One blocking HTTP/1.0 GET against 127.0.0.1:@p port. */
 std::string
 httpGet(uint16_t port, const std::string &target)
 {
-    int fd = socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = serve::connectEndpoint(
+        *serve::Endpoint::parseTcp("127.0.0.1:" + std::to_string(port)));
     if (fd < 0)
         return "";
-    sockaddr_in addr = {};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof addr) != 0) {
-        close(fd);
-        return "";
-    }
-    std::string request = "GET " + target + " HTTP/1.0\r\n\r\n";
-    size_t sent = 0;
-    while (sent < request.size()) {
-        ssize_t w = write(fd, request.data() + sent,
-                          request.size() - sent);
-        if (w <= 0)
-            break;
-        sent += static_cast<size_t>(w);
-    }
+    const std::string request = "GET " + target + " HTTP/1.0\r\n\r\n";
     std::string reply;
     char buf[4096];
-    ssize_t r;
-    while ((r = read(fd, buf, sizeof buf)) > 0)
-        reply.append(buf, static_cast<size_t>(r));
-    close(fd);
+    if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
+        static_cast<ssize_t>(request.size()))
+        for (ssize_t r; (r = ::read(fd, buf, sizeof buf)) > 0;)
+            reply.append(buf, static_cast<size_t>(r));
+    ::close(fd);
     return reply;
 }
 
@@ -128,13 +79,14 @@ struct PhaseResult {
     double wallSeconds = 0.0;
     uint64_t checks = 0;
     QuantileSketch clientUs; ///< Client round-trip batch latency.
-    std::vector<std::pair<uint64_t, uint64_t>> verdicts;
+    std::vector<serve::TenantStats> fingerprint;
     bool scraped = false; ///< /metrics answered mid-load (obs-on).
 };
 
+/** One run of @p tenants (fresh tallies: taken by value). */
 PhaseResult
-runPhase(const std::vector<TenantTraffic> &traffic, bool obs,
-         int repeat, MetricRegistry *stageOut)
+runPhase(std::vector<loadgen::TenantLoad> tenants, bool obs, int repeat,
+         MetricRegistry *stageOut)
 {
     serve::ServiceOptions options;
     options.shards = kShards;
@@ -161,45 +113,22 @@ runPhase(const std::vector<TenantTraffic> &traffic, bool obs,
     auto setup = serve::SocketClient::connect(serverOptions.socketPath);
     if (!setup)
         fatal("serve_latency: setup connect failed");
-    std::vector<serve::TenantId> ids(kTenants);
-    for (unsigned t = 0; t < kTenants; ++t) {
-        ids[t] = setup->createTenant(traffic[t].name, "docker-default");
-        if (ids[t] == serve::kInvalidTenant)
-            fatal("serve_latency: createTenant(%s) failed",
-                  traffic[t].name.c_str());
-    }
+    if (const loadgen::TenantLoad *failed =
+            loadgen::createTenants(*setup, tenants, "docker-default"))
+        fatal("serve_latency: createTenant(%s) failed",
+              failed->name.c_str());
 
-    const unsigned drivers =
-        std::min<unsigned>(std::max(1u, benchThreads()), kTenants);
-    std::vector<QuantileSketch> latency(drivers);
-
+    loadgen::ClosedLoop loop;
+    loop.batch = kClientBatch;
+    loop.drivers = std::min<unsigned>(std::max(1u, benchThreads()),
+                                      kTenants);
     PhaseResult result;
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(drivers);
-    for (unsigned d = 0; d < drivers; ++d) {
-        threads.emplace_back([&, d] {
-            auto client =
-                serve::SocketClient::connect(serverOptions.socketPath);
-            if (!client)
-                fatal("serve_latency: driver connect failed");
-            std::vector<serve::CheckResponse> resps(kClientBatch);
-            for (unsigned t = d; t < kTenants; t += drivers) {
-                const auto &reqs = traffic[t].reqs;
-                for (size_t pos = 0; pos < reqs.size();
-                     pos += kClientBatch) {
-                    const uint32_t n = static_cast<uint32_t>(
-                        std::min<size_t>(kClientBatch,
-                                         reqs.size() - pos));
-                    const auto s0 = std::chrono::steady_clock::now();
-                    if (!client->checkBatch(ids[t], reqs.data() + pos,
-                                            n, resps.data()))
-                        fatal("serve_latency: checkBatch failed");
-                    latency[d].add(elapsedSeconds(s0) * 1e6);
-                }
-            }
+    std::jthread load([&] {
+        loadgen::runClosedLoop(tenants, loop, [&serverOptions] {
+            return serve::SocketClient::connect(serverOptions.socketPath);
         });
-    }
+    });
 
     // Scrape mid-load so the merge-on-scrape cost is inside the
     // measured window, exactly as a Prometheus poller would land.
@@ -213,17 +142,16 @@ runPhase(const std::vector<TenantTraffic> &traffic, bool obs,
             fatal("serve_latency: mid-load /metrics scrape failed");
     }
 
-    for (std::thread &thread : threads)
-        thread.join();
-    result.wallSeconds = elapsedSeconds(t0);
+    load.join();
+    result.wallSeconds = secondsSince(t0);
 
-    for (unsigned t = 0; t < kTenants; ++t) {
-        serve::TenantStats stats;
-        if (!setup->tenantStats(ids[t], stats))
-            fatal("serve_latency: tenantStats(%s) failed",
-                  traffic[t].name.c_str());
-        result.verdicts.emplace_back(stats.allowed, stats.denied);
+    for (const loadgen::TenantLoad &tenant : tenants) {
+        if (tenant.tally.unanswered > 0)
+            fatal("serve_latency: %s lost requests", tenant.name.c_str());
+        result.clientUs.merge(tenant.tally.batchUs);
     }
+    if (!loadgen::readFingerprint(*setup, tenants, result.fingerprint))
+        fatal("serve_latency: tenantStats failed");
 
     if (obs && stageOut)
         server.serveObs()->exportMetrics(*stageOut);
@@ -231,8 +159,6 @@ runPhase(const std::vector<TenantTraffic> &traffic, bool obs,
     server.stop();
     service.stop();
     result.checks = service.totalChecks();
-    for (const QuantileSketch &sketch : latency)
-        result.clientUs.merge(sketch);
     return result;
 }
 
@@ -242,17 +168,19 @@ int
 main(int argc, char **argv)
 {
     BenchReport report("serve_latency", argc, argv);
-    const std::vector<TenantTraffic> traffic = makeTraffic();
+    const std::vector<loadgen::TenantLoad> traffic = tenantTraffic(
+        kTenants, std::max<size_t>(1, benchCalls() / kTenants));
 
-    std::vector<std::pair<uint64_t, uint64_t>> fingerprint;
-    double wallOff = 0.0, wallOn = 0.0;
-    QuantileSketch clientOff, clientOn;
+    // Index 0 is obs-off, 1 obs-on.
+    const char *const phases[] = {"obs-off", "obs-on"};
+    std::vector<serve::TenantStats> fingerprint;
+    double wall[2] = {};
+    QuantileSketch client[2];
     uint64_t checks = 0;
     MetricRegistry stages;
 
     for (int repeat = 0; repeat < kRepeats; ++repeat) {
-        for (int phase = 0; phase < 2; ++phase) {
-            const bool obs = phase == 1;
+        for (int obs = 0; obs < 2; ++obs) {
             // The last obs-on run's hub feeds the stage breakdown.
             PhaseResult r = runPhase(
                 traffic, obs, repeat,
@@ -261,22 +189,21 @@ main(int argc, char **argv)
             // Verdicts must be identical with the pipeline on or off,
             // every repeat: observing a request never changes it.
             if (fingerprint.empty())
-                fingerprint = r.verdicts;
-            if (r.verdicts != fingerprint)
+                fingerprint = r.fingerprint;
+            if (!loadgen::sameFingerprint(r.fingerprint, fingerprint))
                 fatal("serve_latency: verdicts diverged "
                       "(obs=%d repeat=%d)",
-                      obs ? 1 : 0, repeat);
+                      obs, repeat);
 
             checks = r.checks;
-            double &wall = obs ? wallOn : wallOff;
-            if (wall == 0.0 || r.wallSeconds < wall)
-                wall = r.wallSeconds;
-            (obs ? clientOn : clientOff).merge(r.clientUs);
+            if (wall[obs] == 0.0 || r.wallSeconds < wall[obs])
+                wall[obs] = r.wallSeconds;
+            client[obs].merge(r.clientUs);
         }
     }
 
     const double overheadPct =
-        wallOff > 0.0 ? (wallOn - wallOff) / wallOff * 100.0 : 0.0;
+        wall[0] > 0.0 ? (wall[1] - wall[0]) / wall[0] * 100.0 : 0.0;
 
     TextTable table("dracod observability overhead (" +
                     std::to_string(kTenants) + " tenants, " +
@@ -284,20 +211,15 @@ main(int argc, char **argv)
                     std::to_string(kRepeats) + " runs)");
     table.setHeader({"phase", "wall_s", "wall_qps", "client_p50_us",
                      "client_p99_us"});
-    table.addRow({"obs-off", TextTable::num(wallOff, 3),
-                  TextTable::num(wallOff > 0.0
-                                     ? static_cast<double>(checks) / wallOff
-                                     : 0.0,
-                                 0),
-                  TextTable::num(clientOff.quantile(0.50), 1),
-                  TextTable::num(clientOff.quantile(0.99), 1)});
-    table.addRow({"obs-on", TextTable::num(wallOn, 3),
-                  TextTable::num(wallOn > 0.0
-                                     ? static_cast<double>(checks) / wallOn
-                                     : 0.0,
-                                 0),
-                  TextTable::num(clientOn.quantile(0.50), 1),
-                  TextTable::num(clientOn.quantile(0.99), 1)});
+    for (int obs = 0; obs < 2; ++obs)
+        table.addRow({phases[obs], TextTable::num(wall[obs], 3),
+                      TextTable::num(wall[obs] > 0.0
+                                         ? static_cast<double>(checks) /
+                                               wall[obs]
+                                         : 0.0,
+                                     0),
+                      TextTable::num(client[obs].quantile(0.50), 1),
+                      TextTable::num(client[obs].quantile(0.99), 1)});
     table.print();
     std::printf("overhead: %+.2f%% wall (budget <3%%)\n\n", overheadPct);
 
@@ -333,12 +255,14 @@ main(int argc, char **argv)
     registry.setCounter("config.client_batch", kClientBatch);
     registry.setCounter("config.repeats", kRepeats);
     registry.setCounter("checks", checks);
-    registry.setGauge("obs_off.wall_seconds", wallOff);
-    registry.setGauge("obs_on.wall_seconds", wallOn);
-    registry.setGauge("obs_off.client_us.p50", clientOff.quantile(0.50));
-    registry.setGauge("obs_off.client_us.p99", clientOff.quantile(0.99));
-    registry.setGauge("obs_on.client_us.p50", clientOn.quantile(0.50));
-    registry.setGauge("obs_on.client_us.p99", clientOn.quantile(0.99));
+    for (int obs = 0; obs < 2; ++obs) {
+        const std::string prefix = obs ? "obs_on" : "obs_off";
+        registry.setGauge(prefix + ".wall_seconds", wall[obs]);
+        registry.setGauge(prefix + ".client_us.p50",
+                          client[obs].quantile(0.50));
+        registry.setGauge(prefix + ".client_us.p99",
+                          client[obs].quantile(0.99));
+    }
     registry.setGauge("figure.overhead_pct", overheadPct);
     return 0;
 }

@@ -2,13 +2,13 @@
  * @file
  * Client-side view of the check service.
  *
- * Client is the frontend-neutral interface: dracoload (and the tests)
- * drive it without caring whether checks run in-process or cross a
- * socket. LocalClient binds it to a CheckService in the same address
- * space; SocketClient (serve/server.hh) speaks the dracod wire protocol
- * to a daemon. Profiles cross the boundary *by name* — the server
- * instantiates them from the built-in catalog — so the wire never
- * carries policy bytes.
+ * Client is the frontend-neutral interface: the load driver
+ * (serve/loadgen) and the tests drive it without caring whether checks
+ * run in-process or cross a socket. LocalClient binds it to a
+ * CheckService in the same address space; SocketClient
+ * (serve/server.hh) speaks the dracod wire protocol to a daemon.
+ * Profiles cross the boundary *by name* — the server instantiates them
+ * from the built-in catalog — so the wire never carries policy bytes.
  */
 
 #ifndef DRACO_SERVE_CLIENT_HH
@@ -72,35 +72,22 @@ class Client
      * Hot-swap tenant @p id's profile to the built-in catalog entry
      * @p profileName under live traffic: checks submitted before this
      * call resolve under the old policy, checks after it under the new
-     * one. Default-false so pre-existing Client implementations keep
-     * compiling.
+     * one.
      *
      * @param epochOut Receives the epoch now serving when non-null.
      * @return false on unknown profile/tenant or transport failure.
      */
     virtual bool updateProfile(TenantId id,
                                const std::string &profileName,
-                               uint64_t *epochOut = nullptr)
-    {
-        (void)id;
-        (void)profileName;
-        (void)epochOut;
-        return false;
-    }
+                               uint64_t *epochOut = nullptr) = 0;
 
     /**
      * Snapshot the service-wide control-plane counters (tenant counts,
-     * lifecycle evictions/restores, dedup figures). Default-false so
-     * pre-existing Client implementations keep compiling.
+     * lifecycle evictions/restores, dedup figures).
      *
-     * @return false when the transport failed or the server predates
-     *         the ServiceStats message.
+     * @return false when the transport failed.
      */
-    virtual bool serviceStats(ServiceStatsSnapshot &out)
-    {
-        (void)out;
-        return false;
-    }
+    virtual bool serviceStats(ServiceStatsSnapshot &out) = 0;
 };
 
 /**

@@ -41,8 +41,8 @@
  * the reply through its own FrameParser — normally in one read; a
  * CheckBatch is encoded straight from the caller's request array and
  * its verdicts decode straight into the caller's response array.
- * Open-loop load generation bypasses it and pipelines raw frames (see
- * tools/dracoload.cc).
+ * Pipelined load bypasses it and sends raw frames on its socket (see
+ * loadgen::runPipelined in serve/loadgen.hh).
  */
 
 #ifndef DRACO_SERVE_SERVER_HH
@@ -185,7 +185,8 @@ class SocketServer
 
     /**
      * @return The observability hub, or nullptr when metricsAddress
-     *         is not configured. Valid until stop().
+     *         is not configured. It lives as long as the server, so it
+     *         stays readable after stop().
      */
     obs::ServeObs *serveObs() const { return _obs.get(); }
 

@@ -88,6 +88,17 @@ itemRequests(uint32_t count, bool isCheck)
     return isCheck ? count : 1;
 }
 
+/**
+ * Add @p n to a counter only the shard's drain writes: a relaxed load
+ * and store, no read-modify-write, since the drain is its one writer.
+ */
+void
+bumpDrainCounter(std::atomic<uint64_t> &counter, uint64_t n)
+{
+    counter.store(counter.load(std::memory_order_relaxed) + n,
+                  std::memory_order_relaxed);
+}
+
 } // namespace
 
 CheckService::CheckService(const ServiceOptions &options)
@@ -666,16 +677,10 @@ CheckService::process(Shard &shard, std::span<Item> items,
         }
     }
 
-    ++shard.drains;
-    shard.drainsMirror.store(shard.drains, std::memory_order_relaxed);
-    if (inlineDrain) {
-        ++shard.drainsInline;
-        shard.drainsInlineMirror.store(shard.drainsInline,
-                                       std::memory_order_relaxed);
-    }
-    shard.processed += requestsChecked;
-    shard.processedMirror.store(shard.processed,
-                                std::memory_order_relaxed);
+    bumpDrainCounter(shard.drains, 1);
+    if (inlineDrain)
+        bumpDrainCounter(shard.drainsInline, 1);
+    bumpDrainCounter(shard.processed, requestsChecked);
     shard.batchStat.add(requestsChecked);
     shard.lastBatch.store(requestsChecked, std::memory_order_relaxed);
     if (_shardResidentCap)
@@ -853,7 +858,7 @@ CheckService::totalChecks() const
 {
     uint64_t total = 0;
     for (const auto &shard : _shards)
-        total += shard->processed;
+        total += shard->processed.load(std::memory_order_relaxed);
     return total;
 }
 
@@ -910,7 +915,7 @@ CheckService::serviceStats(ServiceStatsSnapshot &out) const
             shard->snapshotBytesWritten.load(relaxed);
         out.snapshotBytesRead += shard->snapshotBytesRead.load(relaxed);
         out.storeBytes += shard->ownStore.totalBytes();
-        out.checks += shard->processedMirror.load(relaxed);
+        out.checks += shard->processed.load(relaxed);
     }
     out.rejects = totalRejects();
     out.policySwaps = _epochs.swaps();
@@ -937,18 +942,19 @@ CheckService::exportMetrics(MetricRegistry &registry,
 
     for (size_t i = 0; i < _shards.size(); ++i) {
         const Shard &shard = *_shards[i];
-        checks += shard.processed;
-        drains += shard.drains;
-        drainsInline += shard.drainsInline;
+        checks += shard.processed.load();
+        drains += shard.drains.load();
+        drainsInline += shard.drainsInline.load();
         queueFull += shard.queueFullRejects;
         rejects += shard.rejects.load();
         batchStat.merge(shard.batchStat);
         depthStat.merge(shard.depthStat);
 
         std::string sp = name("shards.s" + std::to_string(i));
-        registry.setCounter(sp + ".checks", shard.processed);
-        registry.setCounter(sp + ".drains", shard.drains);
-        registry.setCounter(sp + ".drains_inline", shard.drainsInline);
+        registry.setCounter(sp + ".checks", shard.processed.load());
+        registry.setCounter(sp + ".drains", shard.drains.load());
+        registry.setCounter(sp + ".drains_inline",
+                            shard.drainsInline.load());
         registry.setCounter(sp + ".rejects", shard.rejects.load());
         registry.setCounter(sp + ".rejects_queue_full",
                             shard.queueFullRejects);
@@ -1040,13 +1046,13 @@ CheckService::exportLiveMetrics(MetricRegistry &registry,
     for (size_t i = 0; i < _shards.size(); ++i) {
         const Shard &shard = *_shards[i];
         const uint64_t shardChecks =
-            shard.processedMirror.load(std::memory_order_relaxed);
+            shard.processed.load(std::memory_order_relaxed);
         const uint64_t shardRejects =
             shard.rejects.load(std::memory_order_relaxed);
         const uint64_t shardDrains =
-            shard.drainsMirror.load(std::memory_order_relaxed);
+            shard.drains.load(std::memory_order_relaxed);
         const uint64_t shardDrainsInline =
-            shard.drainsInlineMirror.load(std::memory_order_relaxed);
+            shard.drainsInline.load(std::memory_order_relaxed);
         checks += shardChecks;
         rejects += shardRejects;
         drains += shardDrains;

@@ -379,10 +379,15 @@ class CheckService
         /** EWMA of measured drain ns per checked request (retry hints). */
         std::atomic<double> ewmaCheckNs{100.0};
 
+        /**
+         * Drain counters. Only the drain writes them (a relaxed load
+         * and store); relaxed atomics so a live scrape can read them.
+         */
+        std::atomic<uint64_t> processed{0};    ///< Requests checked.
+        std::atomic<uint64_t> drains{0};       ///< Drains that took work.
+        std::atomic<uint64_t> drainsInline{0}; ///< Of those, by a submitter.
+
         // Owned by the shard's drain (single writer: the busy holder).
-        uint64_t processed = 0;  ///< Requests checked.
-        uint64_t drains = 0;     ///< Drains that took work, any thread.
-        uint64_t drainsInline = 0; ///< Of those, run by a submitter.
         RunningStat batchStat;   ///< Requests per drain.
         uint32_t peakDepth = 0;  ///< Deepest queue seen at enqueue.
         lifecycle::ResidentLru lru; ///< Resident tenants, LRU order.
@@ -407,11 +412,8 @@ class CheckService
         std::atomic<uint64_t> snapshotBytesWritten{0};
         std::atomic<uint64_t> snapshotBytesRead{0};
 
-        /** Cross-thread mirrors of drain-owned state. */
+        /** Cross-thread mirror of the drain-owned LRU's size. */
         std::atomic<uint32_t> resident{0};
-        std::atomic<uint64_t> processedMirror{0};
-        std::atomic<uint64_t> drainsMirror{0};
-        std::atomic<uint64_t> drainsInlineMirror{0};
 
         /** Telemetry track, clocked in wall ns since service start. */
         obs::Tracer *tracer = nullptr;
