@@ -5,6 +5,7 @@
 
 #include "hash/crc64.hh"
 #include "support/binio.hh"
+#include "support/logging.hh"
 
 namespace draco::lifecycle {
 
@@ -25,47 +26,89 @@ struct BlockView {
     std::span<const uint8_t> payload;
 };
 
+/** Header bytes: the magic and the u16 version. */
+constexpr size_t kHeaderBytes = sizeof(kSnapshotMagic) + 2;
+
+/** A block's framing around its payload: type, length, CRC. */
+constexpr size_t kBlockFraming = 1 + 4 + 8;
+
+/** Most bytes one Table entry takes: way, index, key length, key. */
+constexpr size_t kMaxEntryBytes =
+    1 + binio::kMaxVarintBytes + 1 + core::ArgKey::kMaxBytes;
+
 /**
- * Open a block at the end of @p out: its type and a length
- * placeholder. The payload is then appended in place.
- *
- * @return The block's start offset, for endBlock().
+ * Writes a `.dtss` file in place through a pointer into a buffer its
+ * caller sized for the worst case, so no store checks capacity or
+ * grows the buffer; each block's end checks the pointer against that
+ * bound.
  */
-size_t
-beginBlock(std::vector<uint8_t> &out, BlockType type)
+class Writer
 {
-    size_t start = out.size();
-    binio::putU8(out, static_cast<uint8_t>(type));
-    binio::putU32(out, 0);
-    return start;
-}
+  public:
+    Writer(uint8_t *begin, size_t bound) : _p(begin), _end(begin + bound) {}
 
-/** Close the block opened at @p start: patch its length, append its CRC. */
-void
-endBlock(std::vector<uint8_t> &out, size_t start)
-{
-    auto len = static_cast<uint32_t>(out.size() - start - 5);
-    for (int i = 0; i < 4; ++i)
-        out[start + 1 + i] = static_cast<uint8_t>(len >> (8 * i));
-    binio::putU64(out, crc64Ecma().compute(out.data() + start,
-                                           out.size() - start));
-}
+    /** @return The byte after the last one written. */
+    uint8_t *pos() const { return _p; }
 
-/** Append one framed block: type, length, payload, trailing CRC. */
-void
-putBlock(std::vector<uint8_t> &out, BlockType type,
-         std::span<const uint8_t> payload)
-{
-    size_t start = beginBlock(out, type);
-    out.insert(out.end(), payload.begin(), payload.end());
-    endBlock(out, start);
-}
+    void u8(uint8_t v) { *_p++ = v; }
+    void u64(uint64_t v) { binio::storeLe(_p, v); _p += 8; }
+    void varint(uint64_t v) { _p = binio::storeVarint(_p, v); }
+
+    void
+    bytes(const void *data, size_t n)
+    {
+        // An empty block payload may have a null data().
+        if (n != 0)
+            std::memcpy(_p, data, n);
+        _p += n;
+    }
+
+    /** The magic and the format version. */
+    void
+    header()
+    {
+        bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
+        binio::storeLe(_p, kSnapshotVersion);
+        _p += 2;
+    }
+
+    /**
+     * Open a block: its type and a length placeholder. The payload is
+     * then written in place.
+     *
+     * @return The block's start, for endBlock().
+     */
+    uint8_t *
+    beginBlock(BlockType type)
+    {
+        uint8_t *start = _p;
+        u8(static_cast<uint8_t>(type));
+        _p += 4;
+        return start;
+    }
+
+    /** Close the block opened at @p start: patch its length, add its CRC. */
+    void
+    endBlock(uint8_t *start)
+    {
+        const auto framed = static_cast<size_t>(_p - start);
+        binio::storeLe(start + 1, static_cast<uint32_t>(framed - 5));
+        u64(crc64Ecma().compute(start, framed));
+        if (_p > _end)
+            panic(".dtss encoder overran its bound by %zu bytes",
+                  static_cast<size_t>(_p - _end));
+    }
+
+  private:
+    uint8_t *_p;
+    const uint8_t *_end;
+};
 
 /** Check magic and version; @p pos is left at the first block. */
 bool
 takeHeader(std::span<const uint8_t> bytes, size_t &pos, std::string *error)
 {
-    if (bytes.size() < sizeof(kSnapshotMagic) + 2)
+    if (bytes.size() < kHeaderBytes)
         return failDecode(error, "file shorter than the header");
     if (std::memcmp(bytes.data(), kSnapshotMagic,
                     sizeof(kSnapshotMagic)) != 0)
@@ -145,15 +188,15 @@ walkBlocks(std::span<const uint8_t> bytes, std::string *error, Fn &&fn)
 }
 
 void
-putCheckStats(std::vector<uint8_t> &out, const core::SwCheckStats &s)
+putCheckStats(Writer &w, const core::SwCheckStats &s)
 {
-    binio::putVarint(out, s.checks);
-    binio::putVarint(out, s.sptAllowAll);
-    binio::putVarint(out, s.vatHits);
-    binio::putVarint(out, s.filterRuns);
-    binio::putVarint(out, s.denials);
-    binio::putVarint(out, s.filterInsns);
-    binio::putVarint(out, s.vatInsertions);
+    w.varint(s.checks);
+    w.varint(s.sptAllowAll);
+    w.varint(s.vatHits);
+    w.varint(s.filterRuns);
+    w.varint(s.denials);
+    w.varint(s.filterInsns);
+    w.varint(s.vatInsertions);
 }
 
 bool
@@ -170,13 +213,13 @@ takeCheckStats(std::span<const uint8_t> buf, size_t &pos,
 }
 
 void
-putCuckooStats(std::vector<uint8_t> &out, const CuckooStats &s)
+putCuckooStats(Writer &w, const CuckooStats &s)
 {
-    binio::putVarint(out, s.lookups);
-    binio::putVarint(out, s.hits);
-    binio::putVarint(out, s.insertions);
-    binio::putVarint(out, s.displacements);
-    binio::putVarint(out, s.evictions);
+    w.varint(s.lookups);
+    w.varint(s.hits);
+    w.varint(s.insertions);
+    w.varint(s.displacements);
+    w.varint(s.evictions);
 }
 
 bool
@@ -299,46 +342,61 @@ encodeSnapshot(const std::string &tenant,
                const core::DracoSoftwareChecker &checker,
                unsigned filterCopies)
 {
-    // Every block is framed in place in one buffer that keeps its
-    // capacity across calls on this thread; the result is a single
-    // exact-size copy of it.
-    thread_local std::vector<uint8_t> out;
-    out.assign(kSnapshotMagic, kSnapshotMagic + sizeof(kSnapshotMagic));
-    binio::putU16(out, kSnapshotVersion);
-
     const core::Vat &vat = checker.vat();
+    constexpr size_t kVarint = binio::kMaxVarintBytes;
 
-    size_t block = beginBlock(out, BlockType::Meta);
-    binio::putString(out, tenant);
-    binio::putU64(out, checker.policy()->programKey);
-    binio::putVarint(out, filterCopies);
-    putCheckStats(out, checker.stats());
-    binio::putVarint(out, vat.evictions());
-    binio::putVarint(out, vat.tableCount());
-    endBlock(out, block);
+    // Size the worst case from the table occupancies, then write every
+    // block in place in one buffer that keeps its capacity across calls
+    // on this thread; the result is a single exact-size copy of it.
+    // Meta: the name and the u64 key, and as varints the name length,
+    // the copies, the seven check stats, VAT evictions, table count.
+    size_t bound = kHeaderBytes + kBlockFraming + tenant.size() + 8 +
+                   kVarint * 11;
+    vat.forEachTable([&](uint16_t, uint64_t, const core::VatCuckoo &cuckoo) {
+        // Table: the u64 bitmask, and as varints the sid, the buckets,
+        // the five cuckoo stats and the entry count; then the entries.
+        bound += kBlockFraming + 8 + kVarint * 8 +
+                 cuckoo.size() * kMaxEntryBytes;
+    });
+    bound += kBlockFraming + kVarint; // End
+    thread_local std::vector<uint8_t> out;
+    if (out.size() < bound)
+        out.resize(bound);
+    Writer w(out.data(), bound);
+    w.header();
+
+    uint8_t *block = w.beginBlock(BlockType::Meta);
+    w.varint(tenant.size());
+    w.bytes(tenant.data(), tenant.size());
+    w.u64(checker.policy()->programKey);
+    w.varint(filterCopies);
+    putCheckStats(w, checker.stats());
+    w.varint(vat.evictions());
+    w.varint(vat.tableCount());
+    w.endBlock(block);
 
     vat.forEachTable([&](uint16_t sid, uint64_t bitmask,
                          const core::VatCuckoo &cuckoo) {
-        size_t table = beginBlock(out, BlockType::Table);
-        binio::putVarint(out, sid);
-        binio::putU64(out, bitmask);
-        binio::putVarint(out, cuckoo.buckets());
-        putCuckooStats(out, cuckoo.stats());
-        binio::putVarint(out, cuckoo.size());
+        uint8_t *table = w.beginBlock(BlockType::Table);
+        w.varint(sid);
+        w.u64(bitmask);
+        w.varint(cuckoo.buckets());
+        putCuckooStats(w, cuckoo.stats());
+        w.varint(cuckoo.size());
         cuckoo.forEachSlot([&](CuckooWay way, uint64_t index,
                                const core::ArgKey &key) {
-            binio::putU8(out, static_cast<uint8_t>(way));
-            binio::putVarint(out, index);
-            binio::putU8(out, static_cast<uint8_t>(key.size()));
-            out.insert(out.end(), key.data(), key.data() + key.size());
+            w.u8(static_cast<uint8_t>(way));
+            w.varint(index);
+            w.u8(static_cast<uint8_t>(key.size()));
+            w.bytes(key.data(), key.size());
         });
-        endBlock(out, table);
+        w.endBlock(table);
     });
 
-    block = beginBlock(out, BlockType::End);
-    binio::putVarint(out, vat.tableCount());
-    endBlock(out, block);
-    return std::vector<uint8_t>(out.begin(), out.end());
+    block = w.beginBlock(BlockType::End);
+    w.varint(vat.tableCount());
+    w.endBlock(block);
+    return std::vector<uint8_t>(out.data(), w.pos());
 }
 
 bool
@@ -357,19 +415,24 @@ parseSnapshotBlocks(const std::vector<uint8_t> &bytes,
 std::vector<uint8_t>
 serializeSnapshotBlocks(const std::vector<RawBlock> &blocks)
 {
-    std::vector<uint8_t> out;
-    out.insert(out.end(), kSnapshotMagic,
-               kSnapshotMagic + sizeof(kSnapshotMagic));
-    binio::putU16(out, kSnapshotVersion);
+    size_t bound = kHeaderBytes + kBlockFraming + binio::kMaxVarintBytes;
+    for (const RawBlock &block : blocks)
+        bound += kBlockFraming + block.payload.size();
+    std::vector<uint8_t> out(bound);
+    Writer w(out.data(), bound);
+    w.header();
     uint64_t tables = 0;
     for (const RawBlock &block : blocks) {
-        putBlock(out, static_cast<BlockType>(block.type), block.payload);
+        uint8_t *start = w.beginBlock(static_cast<BlockType>(block.type));
+        w.bytes(block.payload.data(), block.payload.size());
+        w.endBlock(start);
         if (block.type == static_cast<uint8_t>(BlockType::Table))
             ++tables;
     }
-    std::vector<uint8_t> end;
-    binio::putVarint(end, tables);
-    putBlock(out, BlockType::End, end);
+    uint8_t *end = w.beginBlock(BlockType::End);
+    w.varint(tables);
+    w.endBlock(end);
+    out.resize(static_cast<size_t>(w.pos() - out.data()));
     return out;
 }
 
@@ -418,33 +481,11 @@ inspectSnapshot(const std::vector<uint8_t> &bytes, SnapshotInfo &info,
     return true;
 }
 
-bool
-peekSnapshotPolicyKey(const std::vector<uint8_t> &bytes,
-                      uint64_t &policyKey, std::string *error)
-{
-    // A deliberate partial parse: header plus the first block only.
-    // The probe answers "which policy does this snapshot belong to?"
-    // without paying for every table's CRC — the full restore (or its
-    // fail-closed rejection) still re-verifies everything it uses.
-    size_t pos = 0;
-    BlockView block;
-    if (!takeHeader(bytes, pos, error) ||
-        !takeBlock(bytes, pos, block, error))
-        return false;
-    if (block.type != static_cast<uint8_t>(BlockType::Meta))
-        return failDecode(error, "first block is not Meta");
-    MetaFields meta;
-    if (!decodeMeta(block.payload, meta, error))
-        return false;
-    policyKey = meta.policyKey;
-    return true;
-}
-
-bool
-restoreSnapshot(const std::vector<uint8_t> &bytes,
-                const std::string &expectTenant, uint64_t expectPolicyKey,
-                unsigned expectFilterCopies,
-                core::DracoSoftwareChecker &checker, std::string *error)
+RestoreOutcome
+applySnapshot(const std::vector<uint8_t> &bytes,
+              const std::string &expectTenant, uint64_t expectPolicyKey,
+              unsigned expectFilterCopies,
+              core::DracoSoftwareChecker &checker, std::string *error)
 {
     // One pass: each block is CRC-checked in place and then applied,
     // before the next is read. A later failure leaves a partial
@@ -452,6 +493,7 @@ restoreSnapshot(const std::vector<uint8_t> &bytes,
     core::Vat &vat = checker.mutableVat();
     MetaFields meta;
     bool sawMeta = false;
+    bool stale = false;
     uint64_t tables = 0;
     bool ok = walkBlocks(bytes, error, [&](const BlockView &block) {
         if (sawMeta) {
@@ -466,28 +508,49 @@ restoreSnapshot(const std::vector<uint8_t> &bytes,
         sawMeta = true;
         if (!decodeMeta(block.payload, meta, error))
             return false;
+        // The policy first: a well-formed snapshot of another policy is
+        // stale whatever tenant it names, and none of it is placed.
+        if (meta.policyKey != expectPolicyKey) {
+            stale = true;
+            return failDecode(error, "policy key mismatch (profile "
+                                     "changed since the snapshot was "
+                                     "taken)");
+        }
         if (meta.tenant != expectTenant)
             return failDecode(error, "snapshot names tenant '" +
                                          meta.tenant + "', expected '" +
                                          expectTenant + "'");
-        if (meta.policyKey != expectPolicyKey)
-            return failDecode(error, "policy key mismatch (profile "
-                                     "changed since the snapshot was "
-                                     "taken)");
         if (meta.filterCopies != expectFilterCopies)
             return failDecode(error, "filter copy count mismatch");
         return true;
     });
+    if (stale)
+        return RestoreOutcome::Stale;
     if (!ok)
-        return false;
-    if (!sawMeta)
-        return failDecode(error, "first block is not Meta");
-    if (tables != meta.tableCount)
-        return failDecode(error, "Meta table count mismatch");
+        return RestoreOutcome::Failed;
+    if (!sawMeta) {
+        failDecode(error, "first block is not Meta");
+        return RestoreOutcome::Failed;
+    }
+    if (tables != meta.tableCount) {
+        failDecode(error, "Meta table count mismatch");
+        return RestoreOutcome::Failed;
+    }
 
     vat.restoreEvictions(meta.vatEvictions);
     checker.restoreStats(meta.stats);
-    return true;
+    return RestoreOutcome::Restored;
+}
+
+bool
+restoreSnapshot(const std::vector<uint8_t> &bytes,
+                const std::string &expectTenant, uint64_t expectPolicyKey,
+                unsigned expectFilterCopies,
+                core::DracoSoftwareChecker &checker, std::string *error)
+{
+    return applySnapshot(bytes, expectTenant, expectPolicyKey,
+                         expectFilterCopies, checker, error) ==
+           RestoreOutcome::Restored;
 }
 
 } // namespace draco::lifecycle

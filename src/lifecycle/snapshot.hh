@@ -125,31 +125,50 @@ std::vector<uint8_t> serializeSnapshotBlocks(
 bool inspectSnapshot(const std::vector<uint8_t> &bytes,
                      SnapshotInfo &info, std::string *error);
 
-/**
- * Read just the policy programKey @p bytes references, verifying the
- * header and the Meta block's CRC on the way — the cheap staleness
- * probe a restorer runs before committing to a full restore. A
- * snapshot whose key no longer matches the tenant's current policy
- * epoch must be discarded, never restored: its VAT encodes verdicts of
- * a retired policy.
- *
- * @return false (with @p error set when non-null) when @p bytes is not
- *         a structurally valid snapshot up to and including Meta.
- */
-bool peekSnapshotPolicyKey(const std::vector<uint8_t> &bytes,
-                           uint64_t &policyKey, std::string *error);
+/** What applySnapshot() made of a snapshot. */
+enum class RestoreOutcome : uint8_t {
+    Restored, ///< The checker continues from the snapshot.
+    /**
+     * A structurally valid header and Meta block that reference
+     * another policy: the snapshot's VAT encodes verdicts of a retired
+     * policy, so it must be discarded, never restored. Decided before
+     * any table is placed: the checker is untouched.
+     */
+    Stale,
+    /**
+     * Malformed (bad magic, version skew, CRC, truncation), or a
+     * tenant, filter-copies or table-shape mismatch. The checker may
+     * hold a partial restore.
+     */
+    Failed,
+};
 
 /**
  * Restore @p checker — freshly constructed from the shared policy —
- * from @p bytes.
+ * from @p bytes, in one pass that verifies each block and applies it
+ * before reading the next.
  *
- * The snapshot must name @p expectTenant, reference policy
- * @p expectPolicyKey, and agree with the checker's configured tables
- * (bitmask and buckets per sid); any mismatch, bad CRC, truncation,
- * or version skew fails. On failure the checker may hold a partial
- * restore — the caller MUST discard and rebuild it (fail-closed).
+ * The Meta block is checked in this order: its policy key against
+ * @p expectPolicyKey first (a mismatch is Stale, whatever tenant the
+ * snapshot names), then the tenant name and the filter copies; then
+ * each table must agree with the checker's configured tables (bitmask
+ * and buckets per sid). On Failed the caller MUST discard and rebuild
+ * the checker (fail-closed).
  *
- * @return false (with @p error set) when the restore was rejected.
+ * @param error Set (when non-null) on Stale and Failed.
+ */
+RestoreOutcome applySnapshot(const std::vector<uint8_t> &bytes,
+                             const std::string &expectTenant,
+                             uint64_t expectPolicyKey,
+                             unsigned expectFilterCopies,
+                             core::DracoSoftwareChecker &checker,
+                             std::string *error);
+
+/**
+ * applySnapshot() as a yes/no answer.
+ *
+ * @return true only when the snapshot was Restored (false, with
+ *         @p error set, when it was Stale or Failed).
  */
 bool restoreSnapshot(const std::vector<uint8_t> &bytes,
                      const std::string &expectTenant,

@@ -11,10 +11,10 @@
  * which moves the bytes out and drops the key in one call; get()
  * leaves the key in place for tools and tests. Two backends:
  *
- *  - MemorySnapshotStore: a mutex-guarded hash map; the default when
- *    dracod runs without --snapshot-dir, and what the benches use.
- *    A CheckService gives each shard its own, so shards never share
- *    the lock.
+ *  - MemorySnapshotStore: a mutex-guarded hash map, the in-memory
+ *    backend tests inject to read and corrupt snapshots. Without an
+ *    injected store a CheckService keeps each evicted tenant's bytes
+ *    in the tenant's own slot and uses no store at all.
  *  - DirSnapshotStore: one `<dir>/<sanitized-key>-<hash>.dtss` file
  *    per tenant, written tmp-then-rename so a crash mid-put never
  *    leaves a torn snapshot under the final name.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "lifecycle/snapshot.hh"
+#include "lifecycle/store.hh"
 #include "obs/serveobs.hh"
 #include "obs/tracer.hh"
 #include "support/logging.hh"
@@ -99,6 +100,14 @@ bumpDrainCounter(std::atomic<uint64_t> &counter, uint64_t n)
                   std::memory_order_relaxed);
 }
 
+/** Subtract @p n from a counter only the shard's drain writes. */
+void
+dropDrainCounter(std::atomic<uint64_t> &counter, uint64_t n)
+{
+    counter.store(counter.load(std::memory_order_relaxed) - n,
+                  std::memory_order_relaxed);
+}
+
 } // namespace
 
 CheckService::CheckService(const ServiceOptions &options)
@@ -127,9 +136,6 @@ CheckService::CheckService(const ServiceOptions &options)
     _shards.reserve(_options.shards);
     for (unsigned i = 0; i < _options.shards; ++i) {
         auto shard = std::make_unique<Shard>();
-        if (lifecycleEnabled())
-            shard->store = _options.snapshotStore ? _options.snapshotStore
-                                                  : &shard->ownStore;
         if (_options.session) {
             obs::Tracer *tracer = _options.session->tracer(
                 "serve/shard" + std::to_string(i));
@@ -629,7 +635,7 @@ CheckService::process(Shard &shard, std::span<Item> items,
             if (item.rec)
                 item.rec->checkDoneNs = obs::nowNs();
             if (_shardResidentCap && t->checker)
-                shard.lru.touch(t->id);
+                touchResident(shard, *t);
             t->inFlight.fetch_sub(item.count, std::memory_order_acq_rel);
             break;
           }
@@ -637,9 +643,14 @@ CheckService::process(Shard &shard, std::span<Item> items,
             snapshotTenant(*t, *item.statsOut);
             break;
           case Op::Evict:
-            shard.lru.erase(t->id);
+            unlinkResident(shard, *t);
             if (t->hasSnapshot) {
-                shard.store->remove(t->name);
+                if (_options.snapshotStore) {
+                    _options.snapshotStore->remove(t->name);
+                } else {
+                    dropDrainCounter(shard.storeBytes, t->snapshot->size());
+                    t->snapshot.reset();
+                }
                 t->hasSnapshot = false;
                 shard.snapshotted.fetch_sub(1, std::memory_order_relaxed);
             }
@@ -720,53 +731,50 @@ CheckService::materializeChecker(Shard &shard, TenantState &t)
     if (t.hasSnapshot) {
         std::vector<uint8_t> bytes;
         std::string error;
-        bool ok = shard.store->take(t.name, bytes);
+        bool ok = true;
+        if (_options.snapshotStore) {
+            ok = _options.snapshotStore->take(t.name, bytes);
+        } else {
+            bytes = std::move(*t.snapshot);
+            t.snapshot.reset();
+            dropDrainCounter(shard.storeBytes, bytes.size());
+        }
         t.hasSnapshot = false;
         shard.snapshotted.fetch_sub(1, std::memory_order_relaxed);
+
+        // One pass decides all three: a profile swap while the tenant
+        // sat evicted leaves a `.dtss` whose VAT belongs to a retired
+        // epoch, and a structurally valid snapshot keyed to another
+        // policy is discarded outright (stale) — distinct from a
+        // corrupt one, which counts as a restore failure.
+        using lifecycle::RestoreOutcome;
+        RestoreOutcome outcome = RestoreOutcome::Failed;
         if (!ok)
             error = "snapshot missing from store";
-
-        // Staleness probe before the restore: a profile swap while the
-        // tenant sat evicted leaves a `.dtss` whose VAT belongs to a
-        // retired epoch. A structurally valid snapshot keyed to a
-        // different policy is discarded outright — distinct from a
-        // corrupt one, which still counts as a restore failure below.
-        uint64_t snapshotKey = 0;
-        bool stale =
-            ok &&
-            lifecycle::peekSnapshotPolicyKey(bytes, snapshotKey,
-                                             nullptr) &&
-            snapshotKey != epoch->policy->programKey;
-        if (stale) {
-            inform("CheckService: tenant '%s' snapshot is stale "
-                   "(policy %016llx, epoch %llu runs %016llx); "
-                   "discarding and starting the new epoch cold",
-                   t.name.c_str(),
-                   static_cast<unsigned long long>(snapshotKey),
-                   static_cast<unsigned long long>(epoch->epoch),
-                   static_cast<unsigned long long>(
-                       epoch->policy->programKey));
-            // Fail closed to the *new* epoch: the fresh checker built
-            // above is already the one to serve from. Its counters
-            // carry on from the frozen ones, as a resident tenant's do
-            // across a swap.
-            t.checker->restoreStats(t.frozenStats);
-            _epochs.countStaleSnapshotDiscard();
-            if (shard.tracer)
-                shard.tracer->record(obs::EventKind::TenantRestore, 0,
-                                     0, 0, 0);
-        } else if (ok &&
-                   lifecycle::restoreSnapshot(bytes, t.name,
-                                              epoch->policy->programKey,
-                                              t.opts.filterCopies,
-                                              *t.checker, &error)) {
+        else
+            outcome = lifecycle::applySnapshot(bytes, t.name,
+                                               epoch->policy->programKey,
+                                               t.opts.filterCopies,
+                                               *t.checker, &error);
+        switch (outcome) {
+          case RestoreOutcome::Restored:
             shard.restores.fetch_add(1, std::memory_order_relaxed);
             shard.snapshotBytesRead.fetch_add(bytes.size(),
                                               std::memory_order_relaxed);
-            if (shard.tracer)
-                shard.tracer->record(obs::EventKind::TenantRestore, 0, 0,
-                                     0, bytes.size());
-        } else {
+            break;
+          case RestoreOutcome::Stale:
+            // Fail closed to the *new* epoch: the fresh checker built
+            // above, which a stale snapshot leaves untouched, is
+            // already the one to serve from.
+            inform("CheckService: tenant '%s' snapshot is stale (%s; "
+                   "epoch %llu runs %016llx); discarding and starting "
+                   "the new epoch cold", t.name.c_str(), error.c_str(),
+                   static_cast<unsigned long long>(epoch->epoch),
+                   static_cast<unsigned long long>(
+                       epoch->policy->programKey));
+            _epochs.countStaleSnapshotDiscard();
+            break;
+          case RestoreOutcome::Failed:
             // Fail closed: a damaged snapshot never yields a wrong
             // verdict — the tenant restarts from its profile with a
             // cold VAT, and the failure is counted and logged.
@@ -776,46 +784,89 @@ CheckService::materializeChecker(Shard &shard, TenantState &t)
             t.checker = std::make_unique<core::DracoSoftwareChecker>(
                 epoch->policy, t.opts.filterCopies);
             shard.restoreFailures.fetch_add(1, std::memory_order_relaxed);
-            if (shard.tracer)
-                shard.tracer->record(obs::EventKind::TenantRestore, 0, 0,
-                                     0, 0);
+            break;
         }
+        const bool restored = outcome == RestoreOutcome::Restored;
+        // The frozen counters come from the live checker at eviction,
+        // not from the snapshot, so every other outcome keeps them, as
+        // a resident tenant's swap keeps its counters.
+        if (!restored)
+            t.checker->restoreStats(t.frozenStats);
+        if (shard.tracer)
+            shard.tracer->record(obs::EventKind::TenantRestore, 0, 0, 0,
+                                 restored ? bytes.size() : 0);
     }
 
     if (_shardResidentCap)
-        shard.lru.touch(t.id);
+        touchResident(shard, t);
+}
+
+void
+CheckService::touchResident(Shard &shard, TenantState &t)
+{
+    if (shard.hottest == t.id)
+        return;
+    unlinkResident(shard, t);
+    t.colder = shard.hottest;
+    if (shard.hottest != kInvalidTenant)
+        _tenants[shard.hottest - 1]->hotter = t.id;
+    else
+        shard.coldest = t.id;
+    shard.hottest = t.id;
+    ++shard.residentCount;
+}
+
+void
+CheckService::unlinkResident(Shard &shard, TenantState &t)
+{
+    // Only the coldest resident tenant has no colder neighbour.
+    if (t.colder == kInvalidTenant && shard.coldest != t.id)
+        return;
+    if (t.colder != kInvalidTenant)
+        _tenants[t.colder - 1]->hotter = t.hotter;
+    else
+        shard.coldest = t.hotter;
+    if (t.hotter != kInvalidTenant)
+        _tenants[t.hotter - 1]->colder = t.colder;
+    else
+        shard.hottest = t.colder;
+    t.colder = kInvalidTenant;
+    t.hotter = kInvalidTenant;
+    --shard.residentCount;
 }
 
 void
 CheckService::enforceResidentCap(Shard &shard)
 {
-    while (shard.lru.size() > _shardResidentCap) {
-        TenantId victimId = shard.lru.coldest();
-        if (victimId == kInvalidTenant)
-            break;
-        shard.lru.erase(victimId);
-        TenantState *victim = tenant(victimId);
-        if (!victim || !victim->checker)
+    while (shard.residentCount > _shardResidentCap) {
+        TenantState &victim = *_tenants[shard.coldest - 1];
+        unlinkResident(shard, victim);
+        if (!victim.checker)
             continue;
 
         std::vector<uint8_t> bytes = lifecycle::encodeSnapshot(
-            victim->name, *victim->checker, victim->opts.filterCopies);
+            victim.name, *victim.checker, victim.opts.filterCopies);
         const size_t snapshotBytes = bytes.size();
-        if (!shard.store->put(victim->name, std::move(bytes))) {
+        if (!_options.snapshotStore) {
+            victim.snapshot =
+                std::make_unique<std::vector<uint8_t>>(std::move(bytes));
+            bumpDrainCounter(shard.storeBytes, snapshotBytes);
+        } else if (!_options.snapshotStore->put(victim.name,
+                                                std::move(bytes))) {
             // Keep the victim resident rather than drop state we could
             // not persist; re-touch it hottest so the next pass tries a
             // different victim first.
             shard.snapshotPutFailures.fetch_add(1,
                                                 std::memory_order_relaxed);
-            shard.lru.touch(victimId);
+            touchResident(shard, victim);
             warn("CheckService: snapshot put failed for tenant '%s'; "
-                 "keeping resident", victim->name.c_str());
+                 "keeping resident", victim.name.c_str());
             break;
         }
 
-        victim->frozenStats = victim->checker->stats();
-        victim->checker.reset();
-        victim->hasSnapshot = true;
+        victim.frozenStats = victim.checker->stats();
+        victim.checker.reset();
+        victim.hasSnapshot = true;
         shard.snapshotted.fetch_add(1, std::memory_order_relaxed);
         shard.evictions.fetch_add(1, std::memory_order_relaxed);
         shard.snapshotBytesWritten.fetch_add(snapshotBytes,
@@ -824,8 +875,7 @@ CheckService::enforceResidentCap(Shard &shard)
             shard.tracer->record(obs::EventKind::TenantSnapshot, 0, 0, 0,
                                  snapshotBytes);
     }
-    shard.resident.store(static_cast<uint32_t>(shard.lru.size()),
-                         std::memory_order_relaxed);
+    shard.resident.store(shard.residentCount, std::memory_order_relaxed);
 }
 
 void
@@ -901,7 +951,7 @@ CheckService::serviceStats(ServiceStatsSnapshot &out) const
     out.dedupPolicies = _epochs.store().size();
     out.dedupHits = _epochs.store().hits();
     // An injected store is shared by every shard, so it counts once;
-    // the shards' own stores are empty then.
+    // the shards' slot counters stay zero then.
     if (lifecycleEnabled() && _options.snapshotStore)
         out.storeBytes = _options.snapshotStore->totalBytes();
     for (const auto &shard : _shards) {
@@ -914,7 +964,7 @@ CheckService::serviceStats(ServiceStatsSnapshot &out) const
         out.snapshotBytesWritten +=
             shard->snapshotBytesWritten.load(relaxed);
         out.snapshotBytesRead += shard->snapshotBytesRead.load(relaxed);
-        out.storeBytes += shard->ownStore.totalBytes();
+        out.storeBytes += shard->storeBytes.load(relaxed);
         out.checks += shard->processed.load(relaxed);
     }
     out.rejects = totalRejects();
@@ -1018,7 +1068,10 @@ CheckService::exportMetrics(MetricRegistry &registry,
                         svc.snapshotBytesRead);
     if (lifecycleEnabled()) {
         registry.setCounter(lp + ".store_bytes", svc.storeBytes);
-        registry.setText(lp + ".store_kind", _shards[0]->store->kind());
+        registry.setText(lp + ".store_kind",
+                         _options.snapshotStore
+                             ? _options.snapshotStore->kind()
+                             : "memory");
     }
     _epochs.store().exportMetrics(registry, lp + ".dedup");
     registry.setGauge(lp + ".dedup.ratio",

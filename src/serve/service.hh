@@ -25,9 +25,11 @@
  * blocks a producer and queue memory is strictly bounded.
  *
  * Under a resident cap, a tenant's evictions and restores run in its
- * shard's drain too, so each shard keeps its own snapshot store
- * (unless one is injected) and its own lifecycle counters: a tenant
- * switch touches only its shard's memory.
+ * shard's drain too, and a switch touches only memory that drain
+ * owns: the shard's resident list is threaded through the tenant
+ * slots by id, an evicted tenant's `.dtss` bytes wait in its own slot
+ * (unless a snapshot store is injected), and each shard keeps its own
+ * lifecycle counters.
  *
  * Workers drain up to maxBatch requests per wakeup so queue-lock and
  * telemetry costs amortize across a batch. A caller that runs its own
@@ -53,8 +55,6 @@
 #include <vector>
 
 #include "core/software.hh"
-#include "lifecycle/resident_lru.hh"
-#include "lifecycle/store.hh"
 #include "policy/epoch.hh"
 #include "seccomp/profile.hh"
 #include "serve/types.hh"
@@ -323,6 +323,12 @@ class CheckService
         std::unique_ptr<core::DracoSoftwareChecker> checker;
 
         std::atomic<bool> evicted{false};
+        /**
+         * A `.dtss` awaits: in `snapshot` below, or in the injected
+         * store. Drain-owned like the fields below; it sits here to
+         * fill `evicted`'s padding.
+         */
+        bool hasSnapshot = false;
         std::atomic<uint32_t> inFlight{0};
         std::atomic<uint64_t> rejects{0};
 
@@ -330,7 +336,18 @@ class CheckService
         uint64_t allowed = 0;
         uint64_t denied = 0;
         uint64_t swaps = 0; ///< Epochs published beyond the first.
-        bool hasSnapshot = false; ///< A `.dtss` awaits in the store.
+
+        /**
+         * Neighbours in the shard's resident list (kInvalidTenant at
+         * either end, and while not resident). Ids, not pointers: a
+         * neighbour resolves through its slot, and slots live as long
+         * as the service.
+         */
+        TenantId colder = kInvalidTenant;
+        TenantId hotter = kInvalidTenant;
+
+        /** The evicted tenant's `.dtss` bytes, without an injected store. */
+        std::unique_ptr<std::vector<uint8_t>> snapshot;
         core::SwCheckStats frozenStats; ///< Stats while snapshotted.
     };
 
@@ -390,19 +407,20 @@ class CheckService
         // Owned by the shard's drain (single writer: the busy holder).
         RunningStat batchStat;   ///< Requests per drain.
         uint32_t peakDepth = 0;  ///< Deepest queue seen at enqueue.
-        lifecycle::ResidentLru lru; ///< Resident tenants, LRU order.
 
         /**
-         * Where this shard's evicted tenants wait: ownStore, or the
-         * injected ServiceOptions::snapshotStore that every shard
-         * shares. Null when no resident cap is set.
+         * The resident list under a cap: materialized tenants, linked
+         * through TenantState::colder/hotter from coldest to hottest.
          */
-        lifecycle::SnapshotStore *store = nullptr;
-        lifecycle::MemorySnapshotStore ownStore;
+        TenantId coldest = kInvalidTenant;
+        TenantId hottest = kInvalidTenant;
+        uint32_t residentCount = 0;
 
         /**
          * Lifecycle counters. Only the drain writes them; relaxed
          * atomics so a live scrape can sum them (serviceStats()).
+         * storeBytes counts the snapshot bytes held in this shard's
+         * tenant slots (unused with an injected store).
          */
         std::atomic<uint32_t> snapshotted{0};
         std::atomic<uint64_t> evictions{0};
@@ -411,8 +429,9 @@ class CheckService
         std::atomic<uint64_t> snapshotPutFailures{0};
         std::atomic<uint64_t> snapshotBytesWritten{0};
         std::atomic<uint64_t> snapshotBytesRead{0};
+        std::atomic<uint64_t> storeBytes{0};
 
-        /** Cross-thread mirror of the drain-owned LRU's size. */
+        /** Cross-thread mirror of residentCount. */
         std::atomic<uint32_t> resident{0};
 
         /** Telemetry track, clocked in wall ns since service start. */
@@ -447,29 +466,39 @@ class CheckService
 
     /**
      * Build tenant @p t's checker in its shard's drain, replaying its
-     * `.dtss` snapshot when one exists; take() consumes the snapshot
-     * whatever the outcome. A snapshot from a retired epoch is
-     * discarded, and the fresh checker keeps the tenant's frozen
-     * counters, as a resident tenant's swap does. A failed restore
-     * falls back closed: the checker rebuilds fresh from the shared
-     * policy (cold VAT, correct verdicts) and the failure is counted.
+     * `.dtss` snapshot when one exists; the snapshot is consumed
+     * whatever the outcome. One restore pass tells a snapshot of a
+     * retired epoch (discarded: stale) from a damaged one (counted as
+     * a failure, and the checker rebuilt fresh from the shared policy:
+     * cold VAT, correct verdicts). Either way the fresh checker keeps
+     * the tenant's frozen counters, as a resident tenant's swap does.
      */
     void materializeChecker(Shard &shard, TenantState &t);
 
     /**
      * Post-drain eviction hook: while the shard is over its resident
-     * budget, serialize the LRU-coldest tenant to the shard's snapshot
-     * store and drop its checker. A failed store put keeps the victim
-     * resident (re-touched hottest) rather than dropping state.
+     * budget, snapshot the coldest resident tenant into its slot (or
+     * the injected store) and drop its checker. A failed store put
+     * keeps the victim resident (re-touched hottest) rather than
+     * dropping state.
      */
     void enforceResidentCap(Shard &shard);
+
+    /** Move @p t to the hot end of @p shard's resident list. */
+    void touchResident(Shard &shard, TenantState &t);
+
+    /** Take @p t off @p shard's resident list, when it is on it. */
+    void unlinkResident(Shard &shard, TenantState &t);
 
     ServiceOptions _options;
     const uint64_t _startNs; ///< Origin of the shard telemetry clock.
 
     std::vector<std::unique_ptr<Shard>> _shards;
 
-    /** Slot i holds tenant id i+1; slots are never reused. */
+    /**
+     * Slot i holds tenant id i+1; slots are never reused or freed
+     * while the service lives (the resident lists link through them).
+     */
     std::vector<std::shared_ptr<TenantState>> _tenants;
     std::atomic<uint32_t> _tenantCount{0};
     mutable std::mutex _tenantMutex; ///< Serializes createTenant().
@@ -482,7 +511,7 @@ class CheckService
     // ---- policy epochs (see src/policy/) ----
     policy::EpochManager _epochs;
 
-    // ---- lifecycle (see src/lifecycle/; stores are per shard) ----
+    // ---- lifecycle (see src/lifecycle/) ----
     uint32_t _shardResidentCap = 0; ///< Per-shard budget; 0 = unbounded.
 
     std::atomic<bool> _stopping{false};

@@ -148,9 +148,10 @@ struct ServiceOptions {
 
     /**
      * Snapshot backend for evicted tenants (not owned; must outlive
-     * the service), shared by every shard. nullptr with a resident
-     * cap set gives each shard its own in-memory store, so the shards
-     * never contend on one.
+     * the service), shared by every shard: dracod `--snapshot-dir`
+     * and the tests set it. nullptr with a resident cap set keeps
+     * each evicted tenant's `.dtss` bytes in its own tenant slot,
+     * which only its shard's drain touches: no lock, no lookup.
      */
     lifecycle::SnapshotStore *snapshotStore = nullptr;
 

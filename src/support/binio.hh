@@ -13,7 +13,9 @@
  * so a block inside a larger file decodes in place, bounded by its own
  * end rather than the file's. Fixed-size records (the wire protocol's
  * CheckBatch) are encoded and decoded in place with storeLe()/loadLe()
- * once their caller has bounds-checked the whole record run.
+ * once their caller has bounds-checked the whole record run, and an
+ * encoder that sizes its buffer for the worst case up front (`.dtss`)
+ * writes through a pointer with storeLe()/storeVarint().
  */
 
 #ifndef DRACO_SUPPORT_BINIO_HH
@@ -63,6 +65,26 @@ loadLe(const uint8_t *p)
             v |= static_cast<T>(p[i]) << (8 * i);
     }
     return v;
+}
+
+/** Most bytes one LEB128 varint of a 64-bit value takes. */
+inline constexpr size_t kMaxVarintBytes = 10;
+
+/**
+ * Store @p v as a LEB128 unsigned varint at @p p, the in-place twin of
+ * putVarint(); the caller owns the bounds check (kMaxVarintBytes).
+ *
+ * @return The byte after the varint.
+ */
+inline uint8_t *
+storeVarint(uint8_t *p, uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = static_cast<uint8_t>(v) | 0x80;
+        v >>= 7;
+    }
+    *p++ = static_cast<uint8_t>(v);
+    return p;
 }
 
 /** Append @p v little-endian as 4 bytes. */

@@ -2,8 +2,9 @@
  * @file
  * `.dtss` codec tests: bit-exact restore (the checker continues as if
  * never snapshotted), total decoding of corrupt input (truncation, CRC
- * flips, bad magic, version skew), restore-contract mismatches, and
- * the inspect/compact paths lifecycletool builds on.
+ * flips, bad magic, version skew), restore-contract mismatches, the
+ * stale-versus-failed restore outcome, and the inspect/compact paths
+ * lifecycletool builds on.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "os/syscalls.hh"
 #include "seccomp/profile.hh"
 #include "seccomp/profiles_builtin.hh"
+#include "support/binio.hh"
 #include "workload/appmodel.hh"
 #include "workload/generator.hh"
 
@@ -116,6 +118,40 @@ TEST(Snapshot, EncodeIsDeterministic)
     EXPECT_EQ(s.bytes, encodeSnapshot("tenant-a", *s.checker, 1));
 }
 
+TEST(Snapshot, DenseTablesEncodeWithinTheirBound)
+{
+    // The encoder sizes its buffer from the table occupancies before
+    // it writes a byte: a table of many long keys must still encode,
+    // round-trip, and re-encode to the same bytes.
+    seccomp::Profile profile("dtss-dense");
+    for (uint64_t fd = 0; fd < 128; ++fd)
+        profile.allowTuple(os::sc::sendto,
+                           {fd, 0x7f0000001000 + fd, 0x10000 + fd,
+                            0x123456789 + fd, 0, 0});
+    auto policy = core::CompiledPolicy::compile(profile);
+    core::DracoSoftwareChecker checker(policy, 1);
+    for (uint64_t fd = 0; fd < 128; ++fd) {
+        os::SyscallRequest req = request(os::sc::sendto, fd,
+                                         0x7f0000001000 + fd);
+        req.args[2] = 0x10000 + fd;
+        req.args[3] = 0x123456789 + fd;
+        ASSERT_TRUE(checker.check(req).allowed);
+    }
+    std::vector<uint8_t> bytes = encodeSnapshot("dense", checker, 1);
+    SnapshotInfo info;
+    std::string error;
+    ASSERT_TRUE(inspectSnapshot(bytes, info, &error)) << error;
+    ASSERT_EQ(info.tables.size(), 1u);
+    EXPECT_GT(info.tables[0].sets, 64u);
+
+    core::DracoSoftwareChecker restored(policy, 1);
+    ASSERT_EQ(applySnapshot(bytes, "dense", policy->programKey, 1,
+                            restored, &error),
+              RestoreOutcome::Restored)
+        << error;
+    EXPECT_EQ(encodeSnapshot("dense", restored, 1), bytes);
+}
+
 TEST(Snapshot, TruncationIsRejectedAtEveryLength)
 {
     Snapshotted s = makeSnapshot();
@@ -184,21 +220,15 @@ TEST(Snapshot, RestoreContractMismatchesFail)
     std::string error;
     {
         core::DracoSoftwareChecker restored(s.policy, 1);
-        EXPECT_FALSE(restoreSnapshot(s.bytes, "tenant-b",
-                                     s.policy->programKey, 1, restored,
-                                     &error));
-    }
-    {
-        core::DracoSoftwareChecker restored(s.policy, 1);
-        EXPECT_FALSE(restoreSnapshot(s.bytes, "tenant-a",
-                                     s.policy->programKey ^ 1, 1,
-                                     restored, &error));
+        EXPECT_EQ(applySnapshot(s.bytes, "tenant-b", s.policy->programKey,
+                                1, restored, &error),
+                  RestoreOutcome::Failed);
     }
     {
         core::DracoSoftwareChecker restored(s.policy, 2);
-        EXPECT_FALSE(restoreSnapshot(s.bytes, "tenant-a",
-                                     s.policy->programKey, 2, restored,
-                                     &error));
+        EXPECT_EQ(applySnapshot(s.bytes, "tenant-a", s.policy->programKey,
+                                2, restored, &error),
+                  RestoreOutcome::Failed);
     }
     {
         // A checker compiled from a different profile has different
@@ -207,9 +237,91 @@ TEST(Snapshot, RestoreContractMismatchesFail)
         other.allow(os::sc::read);
         auto otherPolicy = core::CompiledPolicy::compile(other);
         core::DracoSoftwareChecker restored(otherPolicy, 1);
+        EXPECT_EQ(applySnapshot(s.bytes, "tenant-a", s.policy->programKey,
+                                1, restored, &error),
+                  RestoreOutcome::Failed);
         EXPECT_FALSE(restoreSnapshot(s.bytes, "tenant-a",
                                      s.policy->programKey, 1, restored,
                                      &error));
+    }
+}
+
+TEST(Snapshot, RestoreOutcomeReportsAStalePolicy)
+{
+    Snapshotted s = makeSnapshot();
+    const uint64_t otherKey = s.policy->programKey ^ 1;
+    core::DracoSoftwareChecker fresh(s.policy, 1);
+    const std::vector<uint8_t> freshBytes =
+        encodeSnapshot("tenant-a", fresh, 1);
+    // Another policy's snapshot is stale whatever tenant it names and
+    // however many filter copies it records, and it places nothing.
+    for (const char *tenant : {"tenant-a", "tenant-b"}) {
+        for (unsigned copies : {1u, 2u}) {
+            SCOPED_TRACE(std::string(tenant) + " copies " +
+                         std::to_string(copies));
+            core::DracoSoftwareChecker restored(s.policy, 1);
+            std::string error;
+            EXPECT_EQ(applySnapshot(s.bytes, tenant, otherKey, copies,
+                                    restored, &error),
+                      RestoreOutcome::Stale);
+            EXPECT_NE(error.find("policy"), std::string::npos) << error;
+            EXPECT_EQ(encodeSnapshot("tenant-a", restored, 1), freshBytes)
+                << "a stale snapshot touched the checker";
+            // The yes/no form answers no.
+            EXPECT_FALSE(restoreSnapshot(s.bytes, tenant, otherKey, copies,
+                                         restored, &error));
+        }
+    }
+    // The snapshot's own policy restores it.
+    core::DracoSoftwareChecker restored(s.policy, 1);
+    std::string error;
+    EXPECT_EQ(applySnapshot(s.bytes, "tenant-a", s.policy->programKey, 1,
+                            restored, &error),
+              RestoreOutcome::Restored)
+        << error;
+}
+
+TEST(Snapshot, RestoreOutcomeFailsCorruptHeadersNeverStale)
+{
+    Snapshotted s = makeSnapshot();
+    // Expect another policy: a parse that reached the Meta key would
+    // answer Stale, so Failed shows the damage was caught first.
+    const uint64_t otherKey = s.policy->programKey ^ 1;
+    auto outcome = [&](const std::vector<uint8_t> &bytes) {
+        core::DracoSoftwareChecker restored(s.policy, 1);
+        std::string error;
+        return applySnapshot(bytes, "tenant-a", otherKey, 1, restored,
+                             &error);
+    };
+    ASSERT_EQ(outcome(s.bytes), RestoreOutcome::Stale);
+    {
+        std::vector<uint8_t> bad = s.bytes;
+        bad[0] = 'x'; // magic
+        EXPECT_EQ(outcome(bad), RestoreOutcome::Failed);
+    }
+    {
+        std::vector<uint8_t> bad = s.bytes;
+        bad[8] = static_cast<uint8_t>(kSnapshotVersion + 1);
+        EXPECT_EQ(outcome(bad), RestoreOutcome::Failed);
+    }
+    // The Meta block follows the 10-byte header: type, u32 length,
+    // payload, u64 CRC. Every flipped bit in it, and every truncation
+    // that ends before its CRC does, fails.
+    const size_t metaEnd = 10 + 1 + 4 +
+                           binio::loadLe<uint32_t>(s.bytes.data() + 11) + 8;
+    ASSERT_LT(metaEnd, s.bytes.size());
+    for (size_t bit = 10 * 8; bit < metaEnd * 8; ++bit) {
+        std::vector<uint8_t> bad = s.bytes;
+        bad[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        EXPECT_EQ(outcome(bad), RestoreOutcome::Failed)
+            << "flipped Meta bit " << bit;
+    }
+    for (size_t len = 0; len < metaEnd; ++len) {
+        std::vector<uint8_t> cut(s.bytes.begin(),
+                                 s.bytes.begin() +
+                                     static_cast<ptrdiff_t>(len));
+        EXPECT_EQ(outcome(cut), RestoreOutcome::Failed)
+            << "prefix of " << len << " bytes";
     }
 }
 
@@ -232,48 +344,6 @@ TEST(Snapshot, InspectReportsTheTenant)
         sets += table.sets;
     EXPECT_EQ(sets, s.checker->stats().vatInsertions -
                         s.checker->vat().evictions());
-}
-
-TEST(Snapshot, PeekPolicyKeyReadsTheMetaBlock)
-{
-    Snapshotted s = makeSnapshot();
-    uint64_t key = 0;
-    std::string error;
-    ASSERT_TRUE(peekSnapshotPolicyKey(s.bytes, key, &error)) << error;
-    EXPECT_EQ(key, s.policy->programKey);
-}
-
-TEST(Snapshot, PeekPolicyKeyRejectsCorruptHeaders)
-{
-    Snapshotted s = makeSnapshot();
-    uint64_t key = 0;
-    std::string error;
-    {
-        std::vector<uint8_t> bad = s.bytes;
-        bad[0] = 'x'; // magic
-        EXPECT_FALSE(peekSnapshotPolicyKey(bad, key, &error));
-    }
-    {
-        std::vector<uint8_t> bad = s.bytes;
-        bad[8] = static_cast<uint8_t>(kSnapshotVersion + 1);
-        EXPECT_FALSE(peekSnapshotPolicyKey(bad, key, &error));
-    }
-    {
-        // A CRC flip inside the Meta block must be caught even though
-        // the peek never parses the later (larger) table blocks.
-        std::vector<uint8_t> bad = s.bytes;
-        bad[16] ^= 0x01;
-        EXPECT_FALSE(peekSnapshotPolicyKey(bad, key, &error));
-    }
-    // Truncations anywhere inside the Meta block fail; the peek never
-    // needs bytes past it, so only prefixes up to the block matter.
-    for (size_t len = 0; len < 32; ++len) {
-        std::vector<uint8_t> cut(s.bytes.begin(),
-                                 s.bytes.begin() +
-                                     static_cast<ptrdiff_t>(len));
-        EXPECT_FALSE(peekSnapshotPolicyKey(cut, key, &error))
-            << "prefix of " << len << " bytes peeked";
-    }
 }
 
 /**
@@ -360,6 +430,17 @@ TEST(Snapshot, CompactRoundTripIsIdentity)
     std::string error;
     ASSERT_TRUE(parseSnapshotBlocks(s.bytes, blocks, &error)) << error;
     EXPECT_EQ(serializeSnapshotBlocks(blocks), s.bytes);
+
+    // A block with an empty payload (structurally valid, so compact
+    // keeps it) survives the round trip too.
+    blocks.push_back(RawBlock{9, {}});
+    std::vector<RawBlock> reparsed;
+    ASSERT_TRUE(parseSnapshotBlocks(serializeSnapshotBlocks(blocks),
+                                    reparsed, &error))
+        << error;
+    ASSERT_EQ(reparsed.size(), blocks.size());
+    EXPECT_EQ(reparsed.back().type, 9);
+    EXPECT_TRUE(reparsed.back().payload.empty());
 }
 
 } // namespace

@@ -3,8 +3,9 @@
  * Serve-layer lifecycle tests: capped services return verdicts
  * identical to all-resident ones, eviction/restore round-trips keep
  * per-tenant counters, every snapshot-corruption flavour fails closed
- * (fresh rebuild + error metric, never a wrong verdict), and the
- * lifecycle gauges show up in stats and metrics.
+ * (fresh rebuild + error metric, never a wrong verdict, counters
+ * kept), the resident list evicts coldest first, and the lifecycle
+ * gauges show up in stats and metrics.
  */
 
 #include <gtest/gtest.h>
@@ -204,6 +205,13 @@ class CorruptionTest : public ::testing::Test
         ServiceStatsSnapshot stats;
         service->serviceStats(stats);
         EXPECT_EQ(stats.restoreFailures, expectFailures);
+        // The check counters survive every outcome: they come from the
+        // live checker at eviction, not from the snapshot bytes.
+        TenantStats tenant;
+        ASSERT_TRUE(service->tenantStats(victim, tenant));
+        EXPECT_EQ(tenant.check.checks, tenant.allowed + tenant.denied);
+        EXPECT_EQ(tenant.allowed, 3u);
+        EXPECT_EQ(tenant.denied, 1u);
     }
 
     ServiceOptions options;
@@ -274,6 +282,120 @@ TEST_F(CorruptionTest, AdminEvictDropsTheSnapshot)
     EXPECT_FALSE(store.get("victim", bytes));
     EXPECT_EQ(service->check(victim, request(os::sc::read)).status,
               CheckStatus::UnknownTenant);
+}
+
+/**
+ * One shard with a resident cap of 3 that evicts into an injected
+ * store, so a test reads which tenants the cap evicted: store.keys()
+ * names every snapshotted tenant.
+ */
+class ResidentListTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        options.shards = 1;
+        options.maxResidentTenants = 3;
+        options.snapshotStore = &store;
+        service = std::make_unique<CheckService>(options);
+        for (const char *name : {"a", "b", "c", "d", "e", "f"})
+            ASSERT_NE(service->createTenant(name, testProfile()),
+                      kInvalidTenant);
+    }
+
+    /** Check one request for tenant @p name. */
+    void
+    touch(const std::string &name)
+    {
+        TenantId id = service->findTenant(name);
+        ASSERT_EQ(service->check(id, request(os::sc::read)).status,
+                  CheckStatus::Allowed);
+    }
+
+    ServiceOptions options;
+    lifecycle::MemorySnapshotStore store;
+    std::unique_ptr<CheckService> service;
+};
+
+using Names = std::vector<std::string>;
+
+TEST_F(ResidentListTest, CapEvictsTheColdestFirst)
+{
+    for (const char *name : {"a", "b", "c"})
+        touch(name);
+    EXPECT_EQ(store.keys(), Names{});
+    touch("a"); // a is hottest again; b is coldest.
+    touch("d");
+    EXPECT_EQ(store.keys(), Names{"b"});
+    touch("e");
+    EXPECT_EQ(store.keys(), (Names{"b", "c"}));
+    EXPECT_EQ(service->residentTenants(), 3u);
+}
+
+TEST_F(ResidentListTest, RetouchingTheHottestKeepsTheVictims)
+{
+    for (const char *name : {"a", "b", "c", "c", "c"})
+        touch(name);
+    touch("d");
+    EXPECT_EQ(store.keys(), Names{"a"});
+    touch("e");
+    EXPECT_EQ(store.keys(), (Names{"a", "b"}));
+}
+
+TEST_F(ResidentListTest, AdminEvictUnlinksInPlace)
+{
+    for (const char *name : {"a", "b", "c"})
+        touch(name);
+    // Out of the middle of the list: a and c keep their order.
+    ASSERT_TRUE(service->evictTenant(service->findTenant("b")));
+    EXPECT_EQ(service->residentTenants(), 2u);
+    touch("d");
+    EXPECT_EQ(store.keys(), Names{});
+    touch("e");
+    EXPECT_EQ(store.keys(), Names{"a"});
+    touch("f");
+    EXPECT_EQ(store.keys(), (Names{"a", "c"}));
+    EXPECT_EQ(service->residentTenants(), 3u);
+}
+
+TEST(ServeLifecycle, AdminEvictDropsASlotSnapshot)
+{
+    // No injected store: evicted tenants keep their bytes in their
+    // own slots, and storeBytes sums the shard's slots.
+    ServiceOptions options;
+    options.maxResidentTenants = 1;
+    CheckService service(options);
+    TenantId a = service.createTenant("a", testProfile());
+    TenantId b = service.createTenant("b", testProfile());
+    TenantId c = service.createTenant("c", testProfile());
+    ASSERT_EQ(service.check(a, request(os::sc::write, 1)).status,
+              CheckStatus::Allowed);
+    ASSERT_EQ(service.check(b, request(os::sc::read)).status,
+              CheckStatus::Allowed); // evicts a
+    ServiceStatsSnapshot stats;
+    service.serviceStats(stats);
+    const uint64_t aBytes = stats.snapshotBytesWritten;
+    ASSERT_GT(aBytes, 0u);
+    ASSERT_EQ(service.check(c, request(os::sc::read)).status,
+              CheckStatus::Allowed); // evicts b
+    service.serviceStats(stats);
+    EXPECT_EQ(stats.snapshotted, 2u);
+    EXPECT_EQ(stats.storeBytes, stats.snapshotBytesWritten);
+    const uint64_t before = stats.storeBytes;
+
+    ASSERT_TRUE(service.evictTenant(a));
+    service.serviceStats(stats);
+    EXPECT_EQ(stats.snapshotted, 1u);
+    EXPECT_EQ(stats.storeBytes, before - aBytes);
+    EXPECT_EQ(stats.snapshotBytesRead, 0u);
+
+    // b still restores from its slot.
+    ASSERT_EQ(service.check(b, request(os::sc::read)).status,
+              CheckStatus::Allowed);
+    service.serviceStats(stats);
+    EXPECT_EQ(stats.restores, 1u);
+    EXPECT_EQ(stats.restoreFailures, 0u);
 }
 
 TEST(ServeLifecycle, MetricsExportLifecycleBlock)

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "support/binio.hh"
@@ -51,6 +53,26 @@ TEST(Binio, StoreWritesOnlyItsWidth)
     EXPECT_EQ(buf[4], 0x00);
     EXPECT_EQ(buf[5], 0xaa);
     EXPECT_EQ(loadLe<uint16_t>(buf + 3), 0x0001u);
+}
+
+TEST(Binio, StoreVarintMatchesPutVarint)
+{
+    const uint64_t values[] = {0, 1, 0x7f, 0x80, 0x3fff, 0x4000,
+                               0xffffffffull, UINT64_MAX};
+    for (uint64_t v : values) {
+        std::vector<uint8_t> appended;
+        putVarint(appended, v);
+        uint8_t buf[kMaxVarintBytes + 1];
+        std::fill(std::begin(buf), std::end(buf), 0xaa);
+        uint8_t *end = storeVarint(buf, v);
+        ASSERT_LE(static_cast<size_t>(end - buf), kMaxVarintBytes);
+        EXPECT_EQ(std::vector<uint8_t>(buf, end), appended) << v;
+        EXPECT_EQ(*end, 0xaa) << "wrote past the varint of " << v;
+        size_t pos = 0;
+        uint64_t took = 0;
+        ASSERT_TRUE(takeVarint(appended, pos, took));
+        EXPECT_EQ(took, v);
+    }
 }
 
 } // namespace
