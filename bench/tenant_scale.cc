@@ -7,8 +7,10 @@
  * access sequence:
  *
  *   evict-on:     --max-resident-tenants-style cap (default 10k over
- *                 1M tenants); cold tenants serialize to the in-memory
- *                 snapshot store and restore on demand.
+ *                 1M tenants); a cold tenant's VAT is encoded into a
+ *                 compact image (eviction count and tables under one
+ *                 CRC) kept in its own tenant slot, and restored on
+ *                 demand.
  *   all-resident: no cap — every tenant keeps its checker forever.
  *
  * Every tenant runs docker-default, so the content-addressed policy
@@ -30,7 +32,9 @@
  * JSON artifact: `figure.{tenants,cap,accesses,zipf_s,dedup_ratio,
  * fingerprints_match}`, `evict.{resident_peak,evictions,restores,
  * evictions_per_s,restores_per_s,snapshot_bytes_written,store_bytes,
- * rss_mb,...}` and `full.{resident,rss_mb,...}`.
+ * rss_mb,...}` and `full.{resident,rss_mb,...}`. The snapshot byte
+ * counters count VAT-image bytes (about 21 per eviction on
+ * docker-default), not `.dtss` bytes.
  *
  * Scale knobs (CI smoke runs 10k tenants, cap 1k):
  *   --tenants N  --cap N  --accesses N  --zipf S

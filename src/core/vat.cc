@@ -170,24 +170,6 @@ Vat::insertAt(TableIndex table, const ArgKey &key)
 }
 
 bool
-Vat::placeAt(uint16_t sid, CuckooWay way, uint64_t index,
-             const ArgKey &key)
-{
-    Table *table = tableFor(sid);
-    return table && table->cuckoo.placeAt(way, index, key);
-}
-
-bool
-Vat::restoreTableStats(uint16_t sid, const CuckooStats &stats)
-{
-    Table *table = tableFor(sid);
-    if (!table)
-        return false;
-    table->cuckoo.restoreStats(stats);
-    return true;
-}
-
-bool
 Vat::erase(uint16_t sid, const ArgKey &key)
 {
     Table *table = tableFor(sid);

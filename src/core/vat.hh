@@ -169,8 +169,9 @@ class Vat
 
     /**
      * Invoke @p fn(sid, bitmask, cuckoo) on every configured table in
-     * ascending sid order — the deterministic enumeration the `.dtss`
-     * encoder serializes. @p cuckoo is a `const VatCuckoo &`.
+     * ascending sid order (TableIndex order) — the deterministic
+     * enumeration the snapshot encoders serialize. @p cuckoo is a
+     * `const VatCuckoo &`.
      */
     template <typename Fn>
     void
@@ -181,21 +182,15 @@ class Vat
     }
 
     /**
-     * Place @p key at the exact cuckoo slot (@p way, @p index) of
-     * @p sid's table — see CuckooTable::placeAt().
-     *
-     * @return false when @p sid is unconfigured or the slot placement
-     *         was rejected.
+     * The cuckoo table at position @p table (must be valid): snapshot
+     * restore places slots into it verbatim (CuckooTable::placeAt())
+     * and replaces its behaviour counters.
      */
-    bool placeAt(uint16_t sid, CuckooWay way, uint64_t index,
-                 const ArgKey &key);
-
-    /**
-     * Replace @p sid's cuckoo behaviour counters (snapshot restore).
-     *
-     * @return false when @p sid has no configured table.
-     */
-    bool restoreTableStats(uint16_t sid, const CuckooStats &stats);
+    VatCuckoo &
+    mutableTable(TableIndex table)
+    {
+        return _tables[table].cuckoo;
+    }
 
     /** Replace the cumulative eviction counter (snapshot restore). */
     void restoreEvictions(uint64_t evictions) { _evictions = evictions; }

@@ -94,8 +94,15 @@ class Writer
         const auto framed = static_cast<size_t>(_p - start);
         binio::storeLe(start + 1, static_cast<uint32_t>(framed - 5));
         u64(crc64Ecma().compute(start, framed));
+        checkBound();
+    }
+
+    /** Panic when the writes so far passed the bound. */
+    void
+    checkBound() const
+    {
         if (_p > _end)
-            panic(".dtss encoder overran its bound by %zu bytes",
+            panic("snapshot encoder overran its bound by %zu bytes",
                   static_cast<size_t>(_p - _end));
     }
 
@@ -259,12 +266,86 @@ decodeMeta(std::span<const uint8_t> payload, MetaFields &meta,
     return true;
 }
 
+/** Most bytes a table body takes: six varints, then its slots. */
+size_t
+tableBodyBound(const core::VatCuckoo &cuckoo)
+{
+    return binio::kMaxVarintBytes * 6 + cuckoo.size() * kMaxEntryBytes;
+}
+
+/**
+ * Write @p cuckoo's state: its five counters, its occupied-slot count,
+ * then each occupied slot as (way, index, key length, key) in way-major
+ * order. A `.dtss` Table block holds this after its sid, bitmask and
+ * bucket count; a VAT image holds it for every table.
+ */
+void
+putTableBody(Writer &w, const core::VatCuckoo &cuckoo)
+{
+    putCuckooStats(w, cuckoo.stats());
+    w.varint(cuckoo.size());
+    cuckoo.forEachSlot([&](CuckooWay way, uint64_t index,
+                           const core::ArgKey &key) {
+        w.u8(static_cast<uint8_t>(way));
+        w.varint(index);
+        w.u8(static_cast<uint8_t>(key.size()));
+        w.bytes(key.data(), key.size());
+    });
+}
+
+/** The counters and occupied-slot count that open a table body. */
+struct TableCounts {
+    CuckooStats stats;
+    uint64_t entries = 0;
+};
+
+bool
+takeTableCounts(std::span<const uint8_t> buf, size_t &pos,
+                TableCounts &counts)
+{
+    return takeCuckooStats(buf, pos, counts.stats) &&
+        binio::takeVarint(buf, pos, counts.entries);
+}
+
+/**
+ * Read the table body at @p pos (putTableBody()) into @p cuckoo, an
+ * empty table of the geometry it was written from: each slot is placed
+ * verbatim rather than re-inserted, so post-restore displacement and
+ * eviction behaviour is identical to never having snapshotted; then
+ * the counters are replaced.
+ */
+bool
+takeTableBody(std::span<const uint8_t> buf, size_t &pos,
+              core::VatCuckoo &cuckoo, std::string *error)
+{
+    TableCounts counts;
+    if (!takeTableCounts(buf, pos, counts))
+        return failDecode(error, "truncated table counters");
+    for (uint64_t e = 0; e < counts.entries; ++e) {
+        uint8_t way = 0;
+        uint64_t index = 0;
+        uint8_t keyLen = 0;
+        if (!binio::takeU8(buf, pos, way) ||
+            !binio::takeVarint(buf, pos, index) ||
+            !binio::takeU8(buf, pos, keyLen))
+            return failDecode(error, "truncated table slot");
+        if (way > 1 || keyLen > core::ArgKey::kMaxBytes ||
+            pos + keyLen > buf.size())
+            return failDecode(error, "malformed table slot");
+        core::ArgKey key = core::ArgKey::fromBytes(buf.data() + pos, keyLen);
+        pos += keyLen;
+        if (!cuckoo.placeAt(static_cast<CuckooWay>(way), index, key))
+            return failDecode(error, "slot placement rejected");
+    }
+    cuckoo.restoreStats(counts.stats);
+    return true;
+}
+
+/** What a `.dtss` Table block names before its body. */
 struct TableHeader {
     uint64_t sid = 0;
     uint64_t bitmask = 0;
     uint64_t buckets = 0;
-    CuckooStats stats;
-    uint64_t entries = 0;
 };
 
 bool
@@ -273,9 +354,7 @@ decodeTableHeader(std::span<const uint8_t> payload, size_t &pos,
 {
     if (!binio::takeVarint(payload, pos, header.sid) ||
         !binio::takeU64(payload, pos, header.bitmask) ||
-        !binio::takeVarint(payload, pos, header.buckets) ||
-        !takeCuckooStats(payload, pos, header.stats) ||
-        !binio::takeVarint(payload, pos, header.entries))
+        !binio::takeVarint(payload, pos, header.buckets))
         return failDecode(error, "truncated Table block header");
     if (header.sid > UINT16_MAX)
         return failDecode(error, "Table sid out of range");
@@ -310,29 +389,26 @@ restoreTable(std::span<const uint8_t> payload, core::Vat &vat,
     if (vat.buckets(sid) != header.buckets)
         return failDecode(error, "table size mismatch for sid " +
                                      std::to_string(sid));
-
-    for (uint64_t e = 0; e < header.entries; ++e) {
-        uint8_t way = 0;
-        uint64_t index = 0;
-        uint8_t keyLen = 0;
-        if (!binio::takeU8(payload, pos, way) ||
-            !binio::takeVarint(payload, pos, index) ||
-            !binio::takeU8(payload, pos, keyLen))
-            return failDecode(error, "truncated Table entry");
-        if (way > 1 || keyLen > core::ArgKey::kMaxBytes ||
-            pos + keyLen > payload.size())
-            return failDecode(error, "malformed Table entry");
-        core::ArgKey key =
-            core::ArgKey::fromBytes(payload.data() + pos, keyLen);
-        pos += keyLen;
-        if (!vat.placeAt(sid, static_cast<CuckooWay>(way), index, key))
-            return failDecode(error, "slot placement rejected for sid " +
-                                         std::to_string(sid));
-    }
+    if (!takeTableBody(payload, pos, vat.mutableTable(vat.tableIndex(sid)),
+                       error))
+        return false;
     if (pos != payload.size())
         return failDecode(error, "trailing bytes in Table block");
-    vat.restoreTableStats(sid, header.stats);
     return true;
+}
+
+/**
+ * This thread's encode buffer, grown to at least @p bound bytes. It
+ * keeps its capacity across calls, so an encoder writes in place and
+ * returns one exact-size copy.
+ */
+uint8_t *
+encodeBuffer(size_t bound)
+{
+    thread_local std::vector<uint8_t> buffer;
+    if (buffer.size() < bound)
+        buffer.resize(bound);
+    return buffer.data();
 }
 
 } // namespace
@@ -346,23 +422,20 @@ encodeSnapshot(const std::string &tenant,
     constexpr size_t kVarint = binio::kMaxVarintBytes;
 
     // Size the worst case from the table occupancies, then write every
-    // block in place in one buffer that keeps its capacity across calls
-    // on this thread; the result is a single exact-size copy of it.
-    // Meta: the name and the u64 key, and as varints the name length,
-    // the copies, the seven check stats, VAT evictions, table count.
+    // block in place in this thread's encode buffer; the result is a
+    // single exact-size copy of it. Meta: the name and the u64 key, and
+    // as varints the name length, the copies, the seven check stats,
+    // VAT evictions, table count.
     size_t bound = kHeaderBytes + kBlockFraming + tenant.size() + 8 +
                    kVarint * 11;
     vat.forEachTable([&](uint16_t, uint64_t, const core::VatCuckoo &cuckoo) {
-        // Table: the u64 bitmask, and as varints the sid, the buckets,
-        // the five cuckoo stats and the entry count; then the entries.
-        bound += kBlockFraming + 8 + kVarint * 8 +
-                 cuckoo.size() * kMaxEntryBytes;
+        // Table: the u64 bitmask and, as varints, the sid and the
+        // buckets; then the body.
+        bound += kBlockFraming + 8 + kVarint * 2 + tableBodyBound(cuckoo);
     });
     bound += kBlockFraming + kVarint; // End
-    thread_local std::vector<uint8_t> out;
-    if (out.size() < bound)
-        out.resize(bound);
-    Writer w(out.data(), bound);
+    uint8_t *out = encodeBuffer(bound);
+    Writer w(out, bound);
     w.header();
 
     uint8_t *block = w.beginBlock(BlockType::Meta);
@@ -381,22 +454,14 @@ encodeSnapshot(const std::string &tenant,
         w.varint(sid);
         w.u64(bitmask);
         w.varint(cuckoo.buckets());
-        putCuckooStats(w, cuckoo.stats());
-        w.varint(cuckoo.size());
-        cuckoo.forEachSlot([&](CuckooWay way, uint64_t index,
-                               const core::ArgKey &key) {
-            w.u8(static_cast<uint8_t>(way));
-            w.varint(index);
-            w.u8(static_cast<uint8_t>(key.size()));
-            w.bytes(key.data(), key.size());
-        });
+        putTableBody(w, cuckoo);
         w.endBlock(table);
     });
 
     block = w.beginBlock(BlockType::End);
     w.varint(vat.tableCount());
     w.endBlock(block);
-    return std::vector<uint8_t>(out.data(), w.pos());
+    return std::vector<uint8_t>(out, w.pos());
 }
 
 bool
@@ -455,13 +520,16 @@ inspectSnapshot(const std::vector<uint8_t> &bytes, SnapshotInfo &info,
                                          std::to_string(block.type));
         size_t pos = 0;
         TableHeader header;
+        TableCounts counts;
         if (!decodeTableHeader(block.payload, pos, header, error))
             return false;
+        if (!takeTableCounts(block.payload, pos, counts))
+            return failDecode(error, "truncated Table block header");
         SnapshotTableInfo &table = info.tables.emplace_back();
         table.sid = static_cast<uint16_t>(header.sid);
         table.bitmask = header.bitmask;
         table.buckets = header.buckets;
-        table.sets = header.entries;
+        table.sets = counts.entries;
         return true;
     });
     if (!ok)
@@ -551,6 +619,54 @@ restoreSnapshot(const std::vector<uint8_t> &bytes,
     return applySnapshot(bytes, expectTenant, expectPolicyKey,
                          expectFilterCopies, checker, error) ==
            RestoreOutcome::Restored;
+}
+
+std::vector<uint8_t>
+encodeVatImage(const core::Vat &vat)
+{
+    // The eviction count as a varint, every table's body, the CRC.
+    size_t bound = binio::kMaxVarintBytes + 8;
+    vat.forEachTable([&](uint16_t, uint64_t, const core::VatCuckoo &cuckoo) {
+        bound += tableBodyBound(cuckoo);
+    });
+    uint8_t *out = encodeBuffer(bound);
+    Writer w(out, bound);
+    w.varint(vat.evictions());
+    vat.forEachTable([&](uint16_t, uint64_t, const core::VatCuckoo &cuckoo) {
+        putTableBody(w, cuckoo);
+    });
+    w.u64(crc64Ecma().compute(out, static_cast<size_t>(w.pos() - out)));
+    w.checkBound();
+    return std::vector<uint8_t>(out, w.pos());
+}
+
+RestoreOutcome
+applyVatImage(std::span<const uint8_t> image, core::Vat &vat,
+              std::string *error)
+{
+    auto fail = [&](const char *message) {
+        failDecode(error, message);
+        return RestoreOutcome::Failed;
+    };
+    // The CRC first, so no byte of a damaged image is trusted.
+    if (image.size() < 8)
+        return fail("image shorter than its CRC");
+    const std::span<const uint8_t> body = image.first(image.size() - 8);
+    if (binio::loadLe<uint64_t>(body.data() + body.size()) !=
+        crc64Ecma().compute(body.data(), body.size()))
+        return fail("image CRC mismatch");
+    size_t pos = 0;
+    uint64_t evictions = 0;
+    if (!binio::takeVarint(body, pos, evictions))
+        return fail("truncated image");
+    for (core::Vat::TableIndex table = 0; table < vat.tableCount();
+         ++table)
+        if (!takeTableBody(body, pos, vat.mutableTable(table), error))
+            return RestoreOutcome::Failed;
+    if (pos != body.size())
+        return fail("trailing bytes in image");
+    vat.restoreEvictions(evictions);
+    return RestoreOutcome::Restored;
 }
 
 } // namespace draco::lifecycle

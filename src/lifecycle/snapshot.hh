@@ -1,6 +1,6 @@
 /**
  * @file
- * The `.dtss` tenant snapshot format.
+ * Tenant snapshots: the `.dtss` file format and the compact VAT image.
  *
  * A snapshot is the *mutable* half of a tenant's checking state — the
  * lifetime counters and the exact VAT layout — serialized so a cold
@@ -22,14 +22,24 @@
  *   Meta  (1): tenant name, policy programKey, filter copies, the
  *              seven SwCheckStats counters, the VAT eviction counter,
  *              and the table count that must follow.
- *   Table (2): sid, bitmask, buckets-per-way, the five CuckooStats
- *              counters, then each occupied slot as (way, index,
- *              keyLen, key bytes) in way-major order — restore places
- *              slots verbatim instead of replaying inserts, so
- *              post-restore displacement behaviour is identical to
- *              never having snapshotted.
+ *   Table (2): sid, bitmask, buckets-per-way, then the table body:
+ *              the five CuckooStats counters, the occupied-slot count,
+ *              and each occupied slot as (way, index, keyLen, key
+ *              bytes) in way-major order — restore places slots
+ *              verbatim instead of replaying inserts, so post-restore
+ *              displacement behaviour is identical to never having
+ *              snapshotted.
  *   End   (3): table count again — a truncated file that still ends
  *              on a block boundary is caught here.
+ *
+ * A VAT image is what a CheckService keeps in an evicted tenant's own
+ * slot when no snapshot store is injected: the VAT eviction counter
+ * (varint), one table body per VAT table in the checker's table order,
+ * and one CRC-64 (ECMA) over all of it, at the end. It stores nothing
+ * the slot and the current policy already imply — no magic, version,
+ * name, programKey, sid, bitmask, bucket count, check counters, or
+ * per-table framing — so it is only meaningful to the tenant that
+ * wrote it, under the policy it was written under.
  *
  * Every decoder is total: malformed input returns false with a
  * diagnostic, never a crash and never a partially-trusted restore.
@@ -42,6 +52,7 @@
 #define DRACO_LIFECYCLE_SNAPSHOT_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -125,7 +136,7 @@ std::vector<uint8_t> serializeSnapshotBlocks(
 bool inspectSnapshot(const std::vector<uint8_t> &bytes,
                      SnapshotInfo &info, std::string *error);
 
-/** What applySnapshot() made of a snapshot. */
+/** What applySnapshot() or applyVatImage() made of a snapshot. */
 enum class RestoreOutcome : uint8_t {
     Restored, ///< The checker continues from the snapshot.
     /**
@@ -175,6 +186,28 @@ bool restoreSnapshot(const std::vector<uint8_t> &bytes,
                      uint64_t expectPolicyKey, unsigned expectFilterCopies,
                      core::DracoSoftwareChecker &checker,
                      std::string *error);
+
+/**
+ * Encode @p vat — its eviction counter and every table's body — into a
+ * VAT image (see file comment). The caller keeps the check counters
+ * and must know which policy configured @p vat.
+ */
+std::vector<uint8_t> encodeVatImage(const core::Vat &vat);
+
+/**
+ * Restore @p vat — freshly configured from the policy @p image was
+ * encoded under — from @p image: the CRC is checked before any byte is
+ * read, then each table's slots are placed verbatim and its counters
+ * replaced, then the eviction counter. An image carries no policy
+ * reference, so it is never Stale: telling a retired epoch's image
+ * apart is the caller's job.
+ *
+ * @return Restored, or Failed (with @p error set when non-null) on a
+ *         CRC mismatch, a truncated or overlong body, or a slot the
+ *         table rejects; on Failed the caller MUST discard @p vat.
+ */
+RestoreOutcome applyVatImage(std::span<const uint8_t> image, core::Vat &vat,
+                             std::string *error);
 
 } // namespace draco::lifecycle
 

@@ -136,15 +136,19 @@ DirSnapshotStore::DirSnapshotStore(std::string dir) : _dir(std::move(dir))
         warn("DirSnapshotStore: '%s' is not usable", _dir.c_str());
         return;
     }
-    // Adopt snapshots a previous daemon left behind so restarts keep
-    // their warm state.
+    // Count the snapshots a previous daemon left behind, so keys() and
+    // totalBytes() describe the whole directory. This process never
+    // restores a tenant from one: only its own evictions mark a tenant
+    // snapshotted, and warm restarts are not implemented.
     for (const auto &entry : fs::directory_iterator(_dir, ec)) {
         if (!entry.is_regular_file())
             continue;
         std::string name = entry.path().filename().string();
         if (name.size() < 5 || name.substr(name.size() - 5) != ".dtss")
             continue;
-        _sizes[name] = static_cast<uint64_t>(entry.file_size(ec));
+        const auto size = static_cast<uint64_t>(entry.file_size(ec));
+        _sizes[name] = size;
+        _bytes += size;
     }
 }
 
@@ -179,7 +183,10 @@ DirSnapshotStore::put(const std::string &key, std::vector<uint8_t> bytes)
     if (!writeSnapshotFile(path, bytes))
         return false;
     std::lock_guard<std::mutex> lock(_mutex);
-    _sizes[fs::path(path).filename().string()] = bytes.size();
+    uint64_t &size = _sizes[fs::path(path).filename().string()];
+    _bytes -= size;
+    _bytes += bytes.size();
+    size = bytes.size();
     return true;
 }
 
@@ -200,7 +207,11 @@ DirSnapshotStore::remove(const std::string &key)
     std::string path = pathFor(key);
     {
         std::lock_guard<std::mutex> lock(_mutex);
-        _sizes.erase(fs::path(path).filename().string());
+        auto it = _sizes.find(fs::path(path).filename().string());
+        if (it != _sizes.end()) {
+            _bytes -= it->second;
+            _sizes.erase(it);
+        }
     }
     return std::remove(path.c_str()) == 0;
 }
@@ -229,10 +240,7 @@ uint64_t
 DirSnapshotStore::totalBytes() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    uint64_t total = 0;
-    for (const auto &[name, size] : _sizes)
-        total += size;
-    return total;
+    return _bytes;
 }
 
 } // namespace draco::lifecycle

@@ -13,8 +13,8 @@
  *
  *  - MemorySnapshotStore: a mutex-guarded hash map, the in-memory
  *    backend tests inject to read and corrupt snapshots. Without an
- *    injected store a CheckService keeps each evicted tenant's bytes
- *    in the tenant's own slot and uses no store at all.
+ *    injected store a CheckService keeps each evicted tenant's VAT
+ *    image in the tenant's own slot and uses no store at all.
  *  - DirSnapshotStore: one `<dir>/<sanitized-key>-<hash>.dtss` file
  *    per tenant, written tmp-then-rename so a crash mid-put never
  *    leaves a torn snapshot under the final name.
@@ -109,7 +109,10 @@ class DirSnapshotStore final : public SnapshotStore
   public:
     /**
      * @param dir Snapshot directory; created (with parents) when
-     *        missing. ok() reports whether it is usable.
+     *        missing. ok() reports whether it is usable. `.dtss` files
+     *        already there count in keys() and totalBytes(), but no
+     *        service restores a tenant from one: a service marks a
+     *        tenant snapshotted only when it evicted the tenant itself.
      */
     explicit DirSnapshotStore(std::string dir);
 
@@ -135,6 +138,7 @@ class DirSnapshotStore final : public SnapshotStore
     mutable std::mutex _mutex;
     /** key → stored byte count, mirroring the directory. */
     std::map<std::string, uint64_t> _sizes;
+    uint64_t _bytes = 0; ///< Sum of _sizes, kept as entries change.
 };
 
 /** Read a whole file. @return false on any I/O failure. */

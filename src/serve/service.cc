@@ -677,11 +677,13 @@ CheckService::process(Shard &shard, std::span<Item> items,
                     std::make_unique<core::DracoSoftwareChecker>(
                         epoch->policy, t->opts.filterCopies);
                 t->checker->restoreStats(kept);
+            } else if (t->hasSnapshot) {
+                // A snapshotted tenant keeps its snapshot until its next
+                // access, which discards it undecoded: the tenant fails
+                // closed to this epoch even if a later swap brings the
+                // snapshot's policy back.
+                t->snapshotStale = true;
             }
-            // A snapshotted tenant keeps its `.dtss` for now: the
-            // restore path compares the snapshot's programKey against
-            // the then-current epoch and discards it as stale — the
-            // evicted-then-swapped tenant fails closed to this epoch.
             _epochs.countSwap(epoch->epoch);
             break;
           }
@@ -739,23 +741,31 @@ CheckService::materializeChecker(Shard &shard, TenantState &t)
             t.snapshot.reset();
             dropDrainCounter(shard.storeBytes, bytes.size());
         }
+        const bool stale = t.snapshotStale;
         t.hasSnapshot = false;
+        t.snapshotStale = false;
         shard.snapshotted.fetch_sub(1, std::memory_order_relaxed);
 
-        // One pass decides all three: a profile swap while the tenant
-        // sat evicted leaves a `.dtss` whose VAT belongs to a retired
-        // epoch, and a structurally valid snapshot keyed to another
-        // policy is discarded outright (stale) — distinct from a
-        // corrupt one, which counts as a restore failure.
+        // A snapshot a swap flagged is discarded undecoded (stale). A
+        // `.dtss` restore still checks the programKey it embeds; an
+        // image carries none, and the flag is its only staleness test.
+        // A damaged snapshot counts as a restore failure.
         using lifecycle::RestoreOutcome;
         RestoreOutcome outcome = RestoreOutcome::Failed;
-        if (!ok)
+        if (stale) {
+            outcome = RestoreOutcome::Stale;
+            error = "swapped while snapshotted";
+        } else if (!ok) {
             error = "snapshot missing from store";
-        else
+        } else if (_options.snapshotStore) {
             outcome = lifecycle::applySnapshot(bytes, t.name,
                                                epoch->policy->programKey,
                                                t.opts.filterCopies,
                                                *t.checker, &error);
+        } else {
+            outcome = lifecycle::applyVatImage(
+                bytes, t.checker->mutableVat(), &error);
+        }
         switch (outcome) {
           case RestoreOutcome::Restored:
             shard.restores.fetch_add(1, std::memory_order_relaxed);
@@ -786,15 +796,15 @@ CheckService::materializeChecker(Shard &shard, TenantState &t)
             shard.restoreFailures.fetch_add(1, std::memory_order_relaxed);
             break;
         }
-        const bool restored = outcome == RestoreOutcome::Restored;
-        // The frozen counters come from the live checker at eviction,
-        // not from the snapshot, so every other outcome keeps them, as
-        // a resident tenant's swap keeps its counters.
-        if (!restored)
-            t.checker->restoreStats(t.frozenStats);
+        // The counters come from the live checker at eviction, not from
+        // the snapshot (an image does not hold them), so every outcome
+        // continues from them, as a resident tenant's swap does.
+        t.checker->restoreStats(t.frozenStats);
         if (shard.tracer)
             shard.tracer->record(obs::EventKind::TenantRestore, 0, 0, 0,
-                                 restored ? bytes.size() : 0);
+                                 outcome == RestoreOutcome::Restored
+                                     ? bytes.size()
+                                     : 0);
     }
 
     if (_shardResidentCap)
@@ -844,8 +854,13 @@ CheckService::enforceResidentCap(Shard &shard)
         if (!victim.checker)
             continue;
 
-        std::vector<uint8_t> bytes = lifecycle::encodeSnapshot(
-            victim.name, *victim.checker, victim.opts.filterCopies);
+        // The slot gets a VAT image; an injected store gets `.dtss`,
+        // which names its tenant and policy and stands alone on disk.
+        std::vector<uint8_t> bytes =
+            _options.snapshotStore
+                ? lifecycle::encodeSnapshot(victim.name, *victim.checker,
+                                            victim.opts.filterCopies)
+                : lifecycle::encodeVatImage(victim.checker->vat());
         const size_t snapshotBytes = bytes.size();
         if (!_options.snapshotStore) {
             victim.snapshot =

@@ -27,9 +27,9 @@
  * Under a resident cap, a tenant's evictions and restores run in its
  * shard's drain too, and a switch touches only memory that drain
  * owns: the shard's resident list is threaded through the tenant
- * slots by id, an evicted tenant's `.dtss` bytes wait in its own slot
- * (unless a snapshot store is injected), and each shard keeps its own
- * lifecycle counters.
+ * slots by id, an evicted tenant's VAT image waits in its own slot
+ * (unless a snapshot store is injected, which gets `.dtss` files),
+ * and each shard keeps its own lifecycle counters.
  *
  * Workers drain up to maxBatch requests per wakeup so queue-lock and
  * telemetry costs amortize across a batch. A caller that runs its own
@@ -324,11 +324,19 @@ class CheckService
 
         std::atomic<bool> evicted{false};
         /**
-         * A `.dtss` awaits: in `snapshot` below, or in the injected
-         * store. Drain-owned like the fields below; it sits here to
-         * fill `evicted`'s padding.
+         * A snapshot awaits: a VAT image in `snapshot` below, or a
+         * `.dtss` in the injected store. Drain-owned like the fields
+         * below; it and `snapshotStale` sit here to fill `evicted`'s
+         * padding.
          */
         bool hasSnapshot = false;
+        /**
+         * A swap published a new epoch while the tenant sat
+         * snapshotted: the snapshot caches a retired epoch's verdicts
+         * (even when a later swap brought the same policy back), so
+         * the next materialize discards it without decoding it.
+         */
+        bool snapshotStale = false;
         std::atomic<uint32_t> inFlight{0};
         std::atomic<uint64_t> rejects{0};
 
@@ -346,7 +354,12 @@ class CheckService
         TenantId colder = kInvalidTenant;
         TenantId hotter = kInvalidTenant;
 
-        /** The evicted tenant's `.dtss` bytes, without an injected store. */
+        /**
+         * Without an injected store, the evicted tenant's VAT image
+         * (lifecycle::encodeVatImage): its VAT eviction count and
+         * tables under one CRC. The check counters are `frozenStats`,
+         * and the tenant's current epoch names the policy.
+         */
         std::unique_ptr<std::vector<uint8_t>> snapshot;
         core::SwCheckStats frozenStats; ///< Stats while snapshotted.
     };
@@ -466,21 +479,21 @@ class CheckService
 
     /**
      * Build tenant @p t's checker in its shard's drain, replaying its
-     * `.dtss` snapshot when one exists; the snapshot is consumed
-     * whatever the outcome. One restore pass tells a snapshot of a
-     * retired epoch (discarded: stale) from a damaged one (counted as
-     * a failure, and the checker rebuilt fresh from the shared policy:
-     * cold VAT, correct verdicts). Either way the fresh checker keeps
-     * the tenant's frozen counters, as a resident tenant's swap does.
+     * snapshot (VAT image or `.dtss`) when one exists; the snapshot is
+     * consumed whatever the outcome. A snapshot flagged stale by a
+     * swap is discarded undecoded; a damaged one counts as a failure,
+     * and the checker is rebuilt fresh from the shared policy (cold
+     * VAT, correct verdicts). Every outcome continues from the
+     * tenant's frozen counters, as a resident tenant's swap does.
      */
     void materializeChecker(Shard &shard, TenantState &t);
 
     /**
      * Post-drain eviction hook: while the shard is over its resident
-     * budget, snapshot the coldest resident tenant into its slot (or
-     * the injected store) and drop its checker. A failed store put
-     * keeps the victim resident (re-touched hottest) rather than
-     * dropping state.
+     * budget, encode the coldest resident tenant's VAT image into its
+     * slot (or a `.dtss` into the injected store) and drop its
+     * checker. A failed store put keeps the victim resident
+     * (re-touched hottest) rather than dropping state.
      */
     void enforceResidentCap(Shard &shard);
 

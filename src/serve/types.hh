@@ -140,18 +140,22 @@ struct ServiceOptions {
      * keeps every tenant resident forever. When set, each shard holds
      * at most ceil(maxResidentTenants / shards) materialized tenants:
      * checkers are built lazily on first request, the coldest tenants
-     * past the cap are serialized to `.dtss` snapshots and dropped
-     * after each drain, and a snapshotted tenant is restored
-     * transparently on its next request.
+     * past the cap are snapshotted and dropped after each drain, and a
+     * snapshotted tenant is restored transparently on its next
+     * request.
      */
     uint32_t maxResidentTenants = 0;
 
     /**
      * Snapshot backend for evicted tenants (not owned; must outlive
      * the service), shared by every shard: dracod `--snapshot-dir`
-     * and the tests set it. nullptr with a resident cap set keeps
-     * each evicted tenant's `.dtss` bytes in its own tenant slot,
-     * which only its shard's drain touches: no lock, no lookup.
+     * and the tests set it. It receives a `.dtss` file per evicted
+     * tenant, which names its tenant and policy and can be verified
+     * offline. nullptr with a resident cap set keeps each evicted
+     * tenant's VAT image (lifecycle::encodeVatImage: its VAT state
+     * under one CRC, a few dozen bytes where a `.dtss` takes
+     * hundreds) in its own tenant slot, which only its shard's drain
+     * touches: no lock, no lookup.
      */
     lifecycle::SnapshotStore *snapshotStore = nullptr;
 
@@ -174,15 +178,20 @@ struct ServiceStatsSnapshot {
     uint64_t snapshotPutFailures = 0; ///< Evictions aborted on store put.
     uint64_t dedupPolicies = 0;  ///< Distinct compiled policies held.
     uint64_t dedupHits = 0;      ///< Tenant creates served by a shared policy.
-    uint64_t snapshotBytesWritten = 0; ///< Total `.dtss` bytes written.
-    uint64_t snapshotBytesRead = 0;    ///< Total `.dtss` bytes read back.
-    uint64_t storeBytes = 0;     ///< Bytes currently in the store.
+    /**
+     * Snapshot bytes written at eviction and read back by restores:
+     * VAT-image bytes without an injected store, `.dtss` bytes with
+     * one. A stale or failed restore reads none.
+     */
+    uint64_t snapshotBytesWritten = 0;
+    uint64_t snapshotBytesRead = 0;    ///< See snapshotBytesWritten.
+    uint64_t storeBytes = 0;     ///< Snapshot bytes held right now.
     uint64_t checks = 0;         ///< Requests checked (not shed).
     uint64_t rejects = 0;        ///< Requests shed by admission control.
 
     uint64_t policySwaps = 0;        ///< Live profile swaps published.
     uint64_t policySwapFailures = 0; ///< Swaps rejected pre-publication.
-    uint64_t staleSnapshotDiscards = 0; ///< `.dtss` dropped, stale epoch.
+    uint64_t staleSnapshotDiscards = 0; ///< Snapshots dropped, stale epoch.
     uint64_t maxEpoch = 0;           ///< Highest epoch any tenant reached.
 };
 

@@ -1,10 +1,13 @@
 /**
  * @file
- * `.dtss` codec tests: bit-exact restore (the checker continues as if
- * never snapshotted), total decoding of corrupt input (truncation, CRC
- * flips, bad magic, version skew), restore-contract mismatches, the
- * stale-versus-failed restore outcome, and the inspect/compact paths
- * lifecycletool builds on.
+ * Snapshot codec tests. `.dtss`: bit-exact restore (the checker
+ * continues as if never snapshotted), total decoding of corrupt input
+ * (truncation, CRC flips, bad magic, version skew), restore-contract
+ * mismatches, the stale-versus-failed restore outcome, and the
+ * inspect/compact paths lifecycletool builds on. VAT image: encode∘
+ * apply∘encode is a fixed point, a restored VAT continues exactly as
+ * one never evicted (insert pressure included), and every flipped bit,
+ * truncation or trailing byte fails.
  */
 
 #include <gtest/gtest.h>
@@ -441,6 +444,156 @@ TEST(Snapshot, CompactRoundTripIsIdentity)
     ASSERT_EQ(reparsed.size(), blocks.size());
     EXPECT_EQ(reparsed.back().type, 9);
     EXPECT_TRUE(reparsed.back().payload.empty());
+}
+
+/** @return The occupied slots across @p vat's tables. */
+size_t
+occupiedSlots(const core::Vat &vat)
+{
+    size_t slots = 0;
+    vat.forEachTable([&](uint16_t, uint64_t, const core::VatCuckoo &cuckoo) {
+        slots += cuckoo.size();
+    });
+    return slots;
+}
+
+TEST(VatImage, EncodeApplyEncodeIsAFixedPoint)
+{
+    for (const seccomp::Profile &profile :
+         {seccomp::dockerDefaultProfile(), seccomp::gvisorProfile(),
+          seccomp::firecrackerProfile()}) {
+        SCOPED_TRACE(profile.name());
+        auto policy = core::CompiledPolicy::compile(profile);
+        core::DracoSoftwareChecker cold(policy);
+        core::DracoSoftwareChecker warm(policy);
+        for (const os::SyscallRequest &req : goldenStream(profile))
+            warm.check(req);
+        ASSERT_GT(occupiedSlots(warm.vat()), 0u);
+        for (const core::DracoSoftwareChecker *checker : {&cold, &warm}) {
+            const std::vector<uint8_t> image =
+                encodeVatImage(checker->vat());
+            core::DracoSoftwareChecker restored(policy);
+            std::string error;
+            ASSERT_EQ(applyVatImage(image, restored.mutableVat(), &error),
+                      RestoreOutcome::Restored)
+                << error;
+            EXPECT_EQ(encodeVatImage(restored.vat()), image);
+            EXPECT_EQ(occupiedSlots(restored.vat()),
+                      occupiedSlots(checker->vat()));
+            EXPECT_EQ(restored.vat().evictions(),
+                      checker->vat().evictions());
+        }
+    }
+}
+
+TEST(VatImage, RestoredCheckerContinuesLikeOneNeverEvicted)
+{
+    for (const seccomp::Profile &profile :
+         {testProfile(), seccomp::gvisorProfile()}) {
+        SCOPED_TRACE(profile.name());
+        auto policy = core::CompiledPolicy::compile(profile);
+        std::vector<os::SyscallRequest> stream = goldenStream(profile);
+        for (const os::SyscallRequest &req : warmup(8))
+            stream.push_back(req);
+        // Warm on the first half; evict to an image; replay the second
+        // half on the restored checker and on the one never evicted.
+        const size_t half = stream.size() / 2;
+        core::DracoSoftwareChecker kept(policy);
+        for (size_t i = 0; i < half; ++i)
+            kept.check(stream[i]);
+        core::DracoSoftwareChecker restored(policy);
+        std::string error;
+        ASSERT_EQ(applyVatImage(encodeVatImage(kept.vat()),
+                                restored.mutableVat(), &error),
+                  RestoreOutcome::Restored)
+            << error;
+        // The counters are the caller's: an image does not carry them.
+        restored.restoreStats(kept.stats());
+        size_t vatHits = 0;
+        for (size_t i = half; i < stream.size(); ++i) {
+            core::SwCheckOutcome a = kept.check(stream[i]);
+            core::SwCheckOutcome b = restored.check(stream[i]);
+            ASSERT_EQ(a.allowed, b.allowed) << "request " << i;
+            ASSERT_EQ(static_cast<int>(a.path), static_cast<int>(b.path))
+                << "request " << i;
+            vatHits += a.path == core::SwPath::VatHit;
+        }
+        EXPECT_GT(vatHits, 0u) << "no cached set was exercised";
+        EXPECT_EQ(restored.stats().vatHits, kept.stats().vatHits);
+        EXPECT_EQ(restored.stats().vatInsertions,
+                  kept.stats().vatInsertions);
+        EXPECT_EQ(restored.vat().evictions(), kept.vat().evictions());
+        EXPECT_EQ(encodeVatImage(restored.vat()),
+                  encodeVatImage(kept.vat()));
+    }
+}
+
+TEST(VatImage, InsertPressureContinuesIdentically)
+{
+    // A capacity-4 table under 200 distinct keys: displacement chains
+    // and evictions after the restore must match the never-evicted
+    // table's exactly, which only a slot-exact placement gives.
+    constexpr uint64_t kMask = 0xffULL << 16 | 0xfULL;
+    auto key = [](uint64_t i) {
+        seccomp::ArgVector args{};
+        args[0] = i;
+        args[2] = 1;
+        return core::ArgKey(kMask, args);
+    };
+    core::Vat kept;
+    kept.configure(0, kMask, 2);
+    for (uint64_t i = 0; i < 100; ++i)
+        kept.insert(0, key(i));
+    ASSERT_GT(kept.evictions(), 0u);
+
+    core::Vat restored;
+    restored.configure(0, kMask, 2);
+    std::string error;
+    ASSERT_EQ(applyVatImage(encodeVatImage(kept), restored, &error),
+              RestoreOutcome::Restored)
+        << error;
+    for (uint64_t i = 100; i < 200; ++i) {
+        ASSERT_EQ(kept.insert(0, key(i)), restored.insert(0, key(i)))
+            << "insert " << i;
+        ASSERT_EQ(kept.evictions(), restored.evictions());
+    }
+    for (uint64_t i = 0; i < 200; ++i) {
+        EXPECT_EQ(kept.lookup(0, key(i)).has_value(),
+                  restored.lookup(0, key(i)).has_value());
+    }
+    EXPECT_EQ(encodeVatImage(restored), encodeVatImage(kept));
+}
+
+TEST(VatImage, EveryFlippedBitTruncationAndTrailingByteFails)
+{
+    Snapshotted s = makeSnapshot();
+    const std::vector<uint8_t> image = encodeVatImage(s.checker->vat());
+    ASSERT_GT(occupiedSlots(s.checker->vat()), 0u);
+    auto outcome = [&](const std::vector<uint8_t> &bytes) {
+        core::DracoSoftwareChecker restored(s.policy, 1);
+        std::string error;
+        RestoreOutcome result =
+            applyVatImage(bytes, restored.mutableVat(), &error);
+        EXPECT_EQ(error.empty(), result == RestoreOutcome::Restored);
+        return result;
+    };
+    ASSERT_EQ(outcome(image), RestoreOutcome::Restored);
+    for (size_t bit = 0; bit < image.size() * 8; ++bit) {
+        std::vector<uint8_t> bad = image;
+        bad[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        EXPECT_EQ(outcome(bad), RestoreOutcome::Failed)
+            << "flipped bit " << bit;
+    }
+    for (size_t len = 0; len < image.size(); ++len) {
+        std::vector<uint8_t> cut(image.begin(),
+                                 image.begin() +
+                                     static_cast<ptrdiff_t>(len));
+        EXPECT_EQ(outcome(cut), RestoreOutcome::Failed)
+            << "prefix of " << len << " bytes";
+    }
+    std::vector<uint8_t> longer = image;
+    longer.push_back(0);
+    EXPECT_EQ(outcome(longer), RestoreOutcome::Failed);
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * SnapshotStore backend tests: the memory and directory backends obey
  * the same put/get/remove/take/keys/totalBytes contract, and the
- * directory backend adopts pre-existing snapshot files, sanitizes
+ * directory backend adopts pre-existing snapshot files (and keeps its
+ * byte total as they are replaced, taken or removed), sanitizes
  * hostile keys, and survives removal of its directory (failed put,
  * not a crash).
  */
@@ -136,6 +137,31 @@ TEST(DirStore, AdoptsPreexistingFiles)
     std::vector<uint8_t> got;
     ASSERT_TRUE(second.get("tenant-a", got));
     EXPECT_EQ(got, bytesOf("hello"));
+}
+
+TEST(DirStore, AdoptedFilesLeaveTheTotalAsTheyGo)
+{
+    TempDir dir;
+    {
+        DirSnapshotStore first(dir.path.string());
+        ASSERT_TRUE(first.ok());
+        ASSERT_TRUE(first.put("tenant-a", bytesOf("hello")));
+        ASSERT_TRUE(first.put("tenant-b", bytesOf("hi")));
+    }
+    // The running total starts from the adopted files and moves with
+    // every replace, take and remove of one.
+    DirSnapshotStore second(dir.path.string());
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ(second.totalBytes(), 7u);
+    ASSERT_TRUE(second.put("tenant-b", bytesOf("hey!")));
+    EXPECT_EQ(second.totalBytes(), 9u);
+    std::vector<uint8_t> got;
+    ASSERT_TRUE(second.take("tenant-a", got));
+    EXPECT_EQ(got, bytesOf("hello"));
+    EXPECT_EQ(second.totalBytes(), 4u);
+    EXPECT_TRUE(second.remove("tenant-b"));
+    EXPECT_EQ(second.totalBytes(), 0u);
+    EXPECT_TRUE(second.keys().empty());
 }
 
 TEST(DirStore, HostileKeysAreSanitizedAndDistinct)

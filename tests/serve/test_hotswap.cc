@@ -4,11 +4,12 @@
  * up to the swap point, new policy after), the VAT restarts cold under
  * the new epoch while lifetime counters carry over (also when the swap
  * finds the tenant evicted), a snapshot taken under a retired epoch
- * fails closed to the new policy, concurrent swap storms stay
- * consistent with per-epoch reference evaluation (this file runs
- * under the TSan CI job), verdict streams are shard-count invariant
- * with swaps in flight, and UpdateProfile works end to end over the
- * wire.
+ * fails closed to the new policy (also when a later swap brings its
+ * policy back, in a slot or an injected store), concurrent swap
+ * storms stay consistent with per-epoch reference evaluation (this
+ * file runs under the TSan CI job), verdict streams are shard-count
+ * invariant with swaps in flight, and UpdateProfile works end to end
+ * over the wire.
  */
 
 #include <gtest/gtest.h>
@@ -193,6 +194,79 @@ TEST(HotSwap, EvictedSwapKeepsCountersLikeAResidentSwap)
     EXPECT_EQ(c.check.checks, 9u);
     for (const TenantStats &s : stats)
         EXPECT_EQ(s.check.checks, s.allowed + s.denied);
+}
+
+/** Every TenantStats field a resident cap must not change. */
+void
+expectSameStats(const TenantStats &a, const TenantStats &b)
+{
+    EXPECT_EQ(a.check.checks, b.check.checks);
+    EXPECT_EQ(a.check.sptAllowAll, b.check.sptAllowAll);
+    EXPECT_EQ(a.check.vatHits, b.check.vatHits);
+    EXPECT_EQ(a.check.filterRuns, b.check.filterRuns);
+    EXPECT_EQ(a.check.denials, b.check.denials);
+    EXPECT_EQ(a.check.filterInsns, b.check.filterInsns);
+    EXPECT_EQ(a.check.vatInsertions, b.check.vatInsertions);
+    EXPECT_EQ(a.allowed, b.allowed);
+    EXPECT_EQ(a.denied, b.denied);
+    EXPECT_EQ(a.epoch, b.epoch);
+    EXPECT_EQ(a.swaps, b.swaps);
+}
+
+TEST(HotSwap, SwapAwayAndBackWhileSnapshottedStartsCold)
+{
+    // A→B→A while the tenant sits snapshotted: the snapshot's policy
+    // is the current one again, but its VAT belongs to epoch 1, and a
+    // resident tenant's swaps would have rebuilt the VAT cold twice.
+    // The capped services (image in the slot, `.dtss` in an injected
+    // store) must report what the uncapped one does.
+    ServiceOptions slots;
+    slots.shards = 1;
+    slots.maxResidentTenants = 1;
+    ServiceOptions stored = slots;
+    lifecycle::MemorySnapshotStore store;
+    stored.snapshotStore = &store;
+    CheckService withSlots(slots);
+    CheckService withStore(stored);
+    CheckService uncapped;
+
+    std::vector<TenantStats> stats;
+    for (CheckService *service : {&withSlots, &withStore, &uncapped}) {
+        TenantId id = service->createTenant("t", profileFd1());
+        TenantId other = service->createTenant("other", profileFd1());
+        ASSERT_NE(id, kInvalidTenant);
+        ASSERT_NE(other, kInvalidTenant);
+        for (int i = 0; i < 3; ++i)
+            service->check(id, request(os::sc::write, 1));
+        // Under the cap this evicts "t" with a warm write(1) table.
+        service->check(other, request(os::sc::read));
+        ASSERT_TRUE(service->swapProfile(id, profileFd12()));
+        ASSERT_TRUE(service->swapProfile(id, profileFd1()));
+        for (int i = 0; i < 2; ++i)
+            EXPECT_EQ(service->check(id, request(os::sc::write, 1)).status,
+                      CheckStatus::Allowed);
+        stats.emplace_back();
+        ASSERT_TRUE(service->tenantStats(id, stats.back()));
+    }
+
+    for (CheckService *capped : {&withSlots, &withStore}) {
+        // "t" evicted once and discarded; its return evicted "other".
+        ServiceStatsSnapshot svc;
+        capped->serviceStats(svc);
+        EXPECT_EQ(svc.evictions, 2u);
+        EXPECT_EQ(svc.staleSnapshotDiscards, 1u);
+        EXPECT_EQ(svc.restores, 0u) << "a retired epoch's VAT restored";
+        EXPECT_EQ(svc.restoreFailures, 0u);
+        EXPECT_EQ(svc.snapshotted, 1u);
+    }
+    EXPECT_EQ(store.keys(), std::vector<std::string>{"other"})
+        << "the stale .dtss was not taken out of the store";
+
+    // Epoch 3 starts cold: its first write(1) runs the filter again.
+    EXPECT_EQ(stats[2].check.filterRuns, 2u);
+    EXPECT_EQ(stats[2].check.vatHits, 3u);
+    expectSameStats(stats[0], stats[2]);
+    expectSameStats(stats[1], stats[2]);
 }
 
 TEST(HotSwap, SwapFailsClosedOnUnknownOrEvictedTenants)

@@ -2,10 +2,11 @@
  * @file
  * Serve-layer lifecycle tests: capped services return verdicts
  * identical to all-resident ones, eviction/restore round-trips keep
- * per-tenant counters, every snapshot-corruption flavour fails closed
- * (fresh rebuild + error metric, never a wrong verdict, counters
- * kept), the resident list evicts coldest first, and the lifecycle
- * gauges show up in stats and metrics.
+ * per-tenant counters (VAT images in the slots and `.dtss` in an
+ * injected store alike, swaps included), every snapshot-corruption
+ * flavour fails closed (fresh rebuild + error metric, never a wrong
+ * verdict, counters kept), the resident list evicts coldest first,
+ * and the lifecycle gauges show up in stats and metrics.
  */
 
 #include <gtest/gtest.h>
@@ -135,6 +136,112 @@ TEST(ServeLifecycle, CappedVerdictsMatchAllResident)
         EXPECT_EQ(sa.check.vatHits, sb.check.vatHits);
         EXPECT_EQ(sa.allowed, sb.allowed);
         EXPECT_EQ(sa.denied, sb.denied);
+    }
+}
+
+/** testProfile() plus write to fd 2: the other side of every swap. */
+seccomp::Profile
+swappedProfile()
+{
+    seccomp::Profile profile("serve-test-fd12");
+    profile.allow(os::sc::read);
+    profile.allowTuple(os::sc::write, {1, 0, 0, 0, 0, 0});
+    profile.allowTuple(os::sc::write, {2, 0, 0, 0, 0, 0});
+    return profile;
+}
+
+TEST(ServeLifecycle, ImagesDtssAndAllResidentReportEqualStats)
+{
+    // The same rounds of checks and swaps through three services: one
+    // keeping VAT images in its tenant slots, one putting `.dtss` into
+    // an injected store, one never evicting. Swaps land on resident
+    // and on snapshotted tenants alike, and swap tenants back to their
+    // first profile. Verdicts, paths and every TenantStats field must
+    // agree.
+    constexpr size_t kTenants = 12;
+    constexpr size_t kRounds = 8;
+    ServiceOptions images;
+    images.shards = 2;
+    images.maxResidentTenants = 4;
+    ServiceOptions dtss = images;
+    lifecycle::MemorySnapshotStore store;
+    dtss.snapshotStore = &store;
+    ServiceOptions resident;
+    resident.shards = 2;
+    CheckService a(images);
+    CheckService b(dtss);
+    CheckService c(resident);
+    CheckService *services[] = {&a, &b, &c};
+    for (CheckService *service : services)
+        for (size_t t = 0; t < kTenants; ++t)
+            ASSERT_NE(service->createTenant("tenant-" + std::to_string(t),
+                                            testProfile()),
+                      kInvalidTenant);
+
+    for (size_t round = 0; round < kRounds; ++round) {
+        for (size_t t = 0; t < kTenants; ++t) {
+            TenantId id = static_cast<TenantId>(t + 1);
+            if ((t + round) % 5 == 0) {
+                const bool back = (round / 5 + t) % 2 == 0;
+                for (CheckService *service : services)
+                    ASSERT_TRUE(service->swapProfile(
+                        id, back ? testProfile() : swappedProfile()));
+            }
+            for (const os::SyscallRequest &req :
+                 trafficMix(round * kTenants + t, 12)) {
+                CheckResponse ra = a.check(id, req);
+                CheckResponse rb = b.check(id, req);
+                CheckResponse rc = c.check(id, req);
+                ASSERT_EQ(static_cast<int>(ra.status),
+                          static_cast<int>(rc.status));
+                ASSERT_EQ(static_cast<int>(rb.status),
+                          static_cast<int>(rc.status));
+                ASSERT_EQ(ra.path, rc.path);
+                ASSERT_EQ(rb.path, rc.path);
+                ASSERT_EQ(ra.epoch, rc.epoch);
+                ASSERT_EQ(rb.epoch, rc.epoch);
+            }
+        }
+    }
+
+    for (CheckService *capped : {&a, &b}) {
+        ServiceStatsSnapshot stats;
+        capped->serviceStats(stats);
+        EXPECT_GT(stats.restores, 0u);
+        EXPECT_GT(stats.staleSnapshotDiscards, 0u);
+        EXPECT_EQ(stats.restoreFailures, 0u);
+        // Each eviction was restored, discarded stale, or still waits.
+        EXPECT_EQ(stats.snapshotted, stats.evictions - stats.restores -
+                                         stats.staleSnapshotDiscards);
+    }
+    ServiceStatsSnapshot imageStats, dtssStats;
+    a.serviceStats(imageStats);
+    b.serviceStats(dtssStats);
+    EXPECT_EQ(imageStats.evictions, dtssStats.evictions);
+    EXPECT_EQ(imageStats.restores, dtssStats.restores);
+    EXPECT_LT(imageStats.snapshotBytesWritten,
+              dtssStats.snapshotBytesWritten);
+
+    for (size_t t = 0; t < kTenants; ++t) {
+        SCOPED_TRACE("tenant " + std::to_string(t));
+        TenantId id = static_cast<TenantId>(t + 1);
+        TenantStats s[3];
+        for (size_t i = 0; i < 3; ++i)
+            ASSERT_TRUE(services[i]->tenantStats(id, s[i]));
+        for (size_t i = 0; i < 2; ++i) {
+            EXPECT_EQ(s[i].check.checks, s[2].check.checks);
+            EXPECT_EQ(s[i].check.sptAllowAll, s[2].check.sptAllowAll);
+            EXPECT_EQ(s[i].check.vatHits, s[2].check.vatHits);
+            EXPECT_EQ(s[i].check.filterRuns, s[2].check.filterRuns);
+            EXPECT_EQ(s[i].check.denials, s[2].check.denials);
+            EXPECT_EQ(s[i].check.filterInsns, s[2].check.filterInsns);
+            EXPECT_EQ(s[i].check.vatInsertions, s[2].check.vatInsertions);
+            EXPECT_EQ(s[i].allowed, s[2].allowed);
+            EXPECT_EQ(s[i].denied, s[2].denied);
+            EXPECT_EQ(s[i].epoch, s[2].epoch);
+            EXPECT_EQ(s[i].swaps, s[2].swaps);
+        }
+        EXPECT_GT(s[2].check.vatHits, 0u);
     }
 }
 

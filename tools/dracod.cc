@@ -69,7 +69,8 @@ main(int argc, char **argv)
                   "the store and restore on demand (0 = unbounded)", 0);
     flags.addString("snapshot-dir", "path",
                     "directory for evicted-tenant .dtss snapshots "
-                    "(default: in-memory store)");
+                    "(default: a VAT image in each tenant's slot, in "
+                    "memory)");
     flags.addString("metrics-listen", "host:port",
                     "HTTP observability endpoint: /metrics (Prometheus "
                     "text), /healthz, /statz, /slowz (port 0 picks a "
