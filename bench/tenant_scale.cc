@@ -4,7 +4,9 @@
  * access, with verdict streams byte-identical to never evicting.
  *
  * Two phases over the same synthetic fleet and the same deterministic
- * access sequence:
+ * access sequence, each in its own process so that each phase's RSS is
+ * its own (the all-resident phase runs in a child forked before the
+ * evict-on phase, and sends its result back through a pipe):
  *
  *   evict-on:     --max-resident-tenants-style cap (default 10k over
  *                 1M tenants); a cold tenant's VAT is encoded into a
@@ -40,6 +42,10 @@
  *   --tenants N  --cap N  --accesses N  --zipf S
  */
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -207,6 +213,93 @@ runPhase(const Config &cfg, uint64_t residentCap,
     return result;
 }
 
+/**
+ * Call @p fn(data, bytes) on each part of @p r that crosses the pipe
+ * from a child's phase, in order. @return false once one call does.
+ */
+template <typename Fn>
+bool
+forEachPart(PhaseResult &r, Fn &&fn)
+{
+    return fn(&r.residentPeak, sizeof(r.residentPeak)) &&
+        fn(&r.wallSeconds, sizeof(r.wallSeconds)) &&
+        fn(&r.rssMb, sizeof(r.rssMb)) && fn(&r.stats, sizeof(r.stats)) &&
+        fn(r.fingerprints.data(), r.fingerprints.size() * sizeof(uint64_t));
+}
+
+/** A phase in a forked child, started by a byte on @c goFd. */
+struct ChildPhase {
+    pid_t pid = -1;
+    int goFd = -1;     ///< Write end: one byte starts the phase.
+    int resultFd = -1; ///< Read end: the child's PhaseResult.
+};
+
+/**
+ * Fork a child that waits for joinPhase() and then runs runPhase().
+ * Forked before any other phase, the child's heap holds only what this
+ * process had then, so its rssMb counts that phase's heap alone; a
+ * phase run after another in one process would also count pages the
+ * first freed but the allocator kept. Call it before this process
+ * starts a thread.
+ */
+ChildPhase
+forkPhase(const Config &cfg, uint64_t residentCap,
+          const std::vector<os::SyscallRequest> &pool,
+          const std::vector<uint64_t> &accessTenant)
+{
+    int go[2];
+    int result[2];
+    if (::pipe(go) != 0 || ::pipe(result) != 0)
+        fatal("tenant_scale: pipe: %s", std::strerror(errno));
+    std::fflush(nullptr);
+    const pid_t pid = ::fork();
+    if (pid < 0)
+        fatal("tenant_scale: fork: %s", std::strerror(errno));
+    if (pid == 0) {
+        ::close(go[1]);
+        ::close(result[0]);
+        // EOF instead of the byte: the parent died first.
+        char start = 0;
+        if (::read(go[0], &start, 1) != 1)
+            ::_exit(1);
+        PhaseResult r = runPhase(cfg, residentCap, pool, accessTenant);
+        std::FILE *out = ::fdopen(result[1], "wb");
+        const bool sent = out &&
+            forEachPart(r, [&](void *data, size_t n) {
+                return std::fwrite(data, 1, n, out) == n;
+            }) &&
+            std::fclose(out) == 0;
+        ::_exit(sent ? 0 : 1);
+    }
+    ::close(go[0]);
+    ::close(result[1]);
+    return {pid, go[1], result[0]};
+}
+
+/** Start @p child's phase and wait for its result. */
+PhaseResult
+joinPhase(const ChildPhase &child, uint64_t tenants)
+{
+    const char start = 1;
+    const bool started = ::write(child.goFd, &start, 1) == 1;
+    ::close(child.goFd);
+    std::FILE *in = ::fdopen(child.resultFd, "rb");
+    if (!in)
+        fatal("tenant_scale: fdopen: %s", std::strerror(errno));
+    PhaseResult r;
+    r.fingerprints.resize(tenants);
+    const bool received =
+        started && forEachPart(r, [&](void *data, size_t n) {
+            return std::fread(data, 1, n, in) == n;
+        });
+    std::fclose(in);
+    int status = 0;
+    if (!received || ::waitpid(child.pid, &status, 0) != child.pid ||
+        !WIFEXITED(status) || WEXITSTATUS(status) != 0)
+        fatal("tenant_scale: the child running a phase failed");
+    return r;
+}
+
 void
 recordPhase(MetricRegistry &registry, const std::string &prefix,
             const PhaseResult &phase)
@@ -272,13 +365,18 @@ main(int argc, char **argv)
            ", %" PRIu64 " Zipf(%.2f) accesses",
            cfg.tenants, cfg.cap, cfg.accesses, cfg.zipfS);
 
+    // The all-resident phase runs in a child forked before the capped
+    // phase and started after it, so neither phase's RSS carries the
+    // other's freed heap.
+    const ChildPhase fullPhase = forkPhase(cfg, 0, pool, accessTenant);
+
     PhaseResult evict = runPhase(cfg, cfg.cap, pool, accessTenant);
     inform("tenant_scale: evict-on done: peak resident %" PRIu64
            ", %" PRIu64 " evictions, %" PRIu64 " restores, rss %.0f MB",
            evict.residentPeak, evict.stats.evictions,
            evict.stats.restores, evict.rssMb);
 
-    PhaseResult full = runPhase(cfg, 0, pool, accessTenant);
+    PhaseResult full = joinPhase(fullPhase, cfg.tenants);
     inform("tenant_scale: all-resident done: rss %.0f MB", full.rssMb);
 
     // ---- the three asserts ----

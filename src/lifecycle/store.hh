@@ -12,12 +12,17 @@
  * leaves the key in place for tools and tests. Two backends:
  *
  *  - MemorySnapshotStore: a mutex-guarded hash map, the in-memory
- *    backend tests inject to read and corrupt snapshots. Without an
- *    injected store a CheckService keeps each evicted tenant's VAT
- *    image in the tenant's own slot and uses no store at all.
+ *    backend tests inject to read and corrupt snapshots.
  *  - DirSnapshotStore: one `<dir>/<sanitized-key>-<hash>.dtss` file
  *    per tenant, written tmp-then-rename so a crash mid-put never
  *    leaves a torn snapshot under the final name.
+ *
+ * A CheckService puts `.dtss` bytes into an injected store (see
+ * snapshot.hh): its VAT image behind the tenant's name and policy key,
+ * under one CRC, so a file damaged, left over from another policy, or
+ * copied under another tenant's key fails its restore closed. Without
+ * an injected store the service keeps each evicted tenant's bare VAT
+ * image in the tenant's own slot and uses no store at all.
  */
 
 #ifndef DRACO_LIFECYCLE_STORE_HH
@@ -112,7 +117,8 @@ class DirSnapshotStore final : public SnapshotStore
      *        missing. ok() reports whether it is usable. `.dtss` files
      *        already there count in keys() and totalBytes(), but no
      *        service restores a tenant from one: a service marks a
-     *        tenant snapshotted only when it evicted the tenant itself.
+     *        tenant snapshotted only when it evicted the tenant itself
+     *        (`lifecycletool prune` deletes those that fail to decode).
      */
     explicit DirSnapshotStore(std::string dir);
 

@@ -747,9 +747,10 @@ CheckService::materializeChecker(Shard &shard, TenantState &t)
         shard.snapshotted.fetch_sub(1, std::memory_order_relaxed);
 
         // A snapshot a swap flagged is discarded undecoded (stale). A
-        // `.dtss` restore still checks the programKey it embeds; an
-        // image carries none, and the flag is its only staleness test.
-        // A damaged snapshot counts as a restore failure.
+        // `.dtss` restore also checks the programKey and tenant name it
+        // embeds; an image carries neither, and the flag is its only
+        // staleness test. A damaged snapshot counts as a restore
+        // failure.
         using lifecycle::RestoreOutcome;
         RestoreOutcome outcome = RestoreOutcome::Failed;
         if (stale) {
@@ -758,10 +759,9 @@ CheckService::materializeChecker(Shard &shard, TenantState &t)
         } else if (!ok) {
             error = "snapshot missing from store";
         } else if (_options.snapshotStore) {
-            outcome = lifecycle::applySnapshot(bytes, t.name,
-                                               epoch->policy->programKey,
-                                               t.opts.filterCopies,
-                                               *t.checker, &error);
+            outcome = lifecycle::applySnapshot(
+                bytes, t.name, epoch->policy->programKey,
+                t.checker->mutableVat(), &error);
         } else {
             outcome = lifecycle::applyVatImage(
                 bytes, t.checker->mutableVat(), &error);
@@ -855,7 +855,8 @@ CheckService::enforceResidentCap(Shard &shard)
             continue;
 
         // The slot gets a VAT image; an injected store gets `.dtss`,
-        // which names its tenant and policy and stands alone on disk.
+        // the same image behind its tenant name and programKey, since
+        // a file on disk is outside input.
         std::vector<uint8_t> bytes =
             _options.snapshotStore
                 ? lifecycle::encodeSnapshot(victim.name, *victim.checker,

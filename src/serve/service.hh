@@ -481,10 +481,12 @@ class CheckService
      * Build tenant @p t's checker in its shard's drain, replaying its
      * snapshot (VAT image or `.dtss`) when one exists; the snapshot is
      * consumed whatever the outcome. A snapshot flagged stale by a
-     * swap is discarded undecoded; a damaged one counts as a failure,
-     * and the checker is rebuilt fresh from the shared policy (cold
-     * VAT, correct verdicts). Every outcome continues from the
-     * tenant's frozen counters, as a resident tenant's swap does.
+     * swap is discarded undecoded, and so is a `.dtss` of another
+     * policy; a damaged one, or a `.dtss` naming another tenant,
+     * counts as a failure, and the checker is rebuilt fresh from the
+     * shared policy (cold VAT, correct verdicts). Every outcome
+     * continues from the tenant's frozen counters, as a resident
+     * tenant's swap does.
      */
     void materializeChecker(Shard &shard, TenantState &t);
 

@@ -150,12 +150,12 @@ struct ServiceOptions {
      * Snapshot backend for evicted tenants (not owned; must outlive
      * the service), shared by every shard: dracod `--snapshot-dir`
      * and the tests set it. It receives a `.dtss` file per evicted
-     * tenant, which names its tenant and policy and can be verified
-     * offline. nullptr with a resident cap set keeps each evicted
-     * tenant's VAT image (lifecycle::encodeVatImage: its VAT state
-     * under one CRC, a few dozen bytes where a `.dtss` takes
-     * hundreds) in its own tenant slot, which only its shard's drain
-     * touches: no lock, no lookup.
+     * tenant: the tenant's VAT image behind its name and policy key,
+     * under one CRC, which a restore checks and lifecycletool
+     * verifies offline. nullptr with a resident cap set keeps each
+     * evicted tenant's bare VAT image (lifecycle::encodeVatImage: its
+     * VAT state under one CRC, a few dozen bytes) in its own tenant
+     * slot, which only its shard's drain touches: no lock, no lookup.
      */
     lifecycle::SnapshotStore *snapshotStore = nullptr;
 

@@ -1,13 +1,14 @@
 /**
  * @file
- * Snapshot codec tests. `.dtss`: bit-exact restore (the checker
- * continues as if never snapshotted), total decoding of corrupt input
- * (truncation, CRC flips, bad magic, version skew), restore-contract
- * mismatches, the stale-versus-failed restore outcome, and the
- * inspect/compact paths lifecycletool builds on. VAT image: encode∘
- * apply∘encode is a fixed point, a restored VAT continues exactly as
- * one never evicted (insert pressure included), and every flipped bit,
- * truncation or trailing byte fails.
+ * Snapshot codec tests. `.dtss`: a restored checker continues as if
+ * never snapshotted, every flipped bit, truncation and trailing byte
+ * fails (never Stale), bad magic and version skew (a real version-1
+ * file) are rejected, another tenant's file fails, another policy's is
+ * Stale and touches nothing, inspection reports the tenant and its
+ * tables, and the bytes are pinned. VAT image: encode∘apply∘encode is a
+ * fixed point, a restored VAT continues exactly as one never evicted
+ * (insert pressure included), the bytes are pinned, and every flipped
+ * bit, truncation or trailing byte fails.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +23,6 @@
 #include "os/syscalls.hh"
 #include "seccomp/profile.hh"
 #include "seccomp/profiles_builtin.hh"
-#include "support/binio.hh"
 #include "workload/appmodel.hh"
 #include "workload/generator.hh"
 
@@ -73,46 +73,60 @@ struct Snapshotted {
 };
 
 Snapshotted
-makeSnapshot(unsigned filterCopies = 1)
+makeSnapshot()
 {
     Snapshotted s;
     s.policy = core::CompiledPolicy::compile(testProfile());
-    s.checker = std::make_unique<core::DracoSoftwareChecker>(
-        s.policy, filterCopies);
+    s.checker = std::make_unique<core::DracoSoftwareChecker>(s.policy);
     for (const os::SyscallRequest &req : warmup(16))
         s.checker->check(req);
-    s.bytes = encodeSnapshot("tenant-a", *s.checker, filterCopies);
+    s.bytes = encodeSnapshot("tenant-a", *s.checker, 1);
     return s;
+}
+
+/** @return The occupied slots across @p vat's tables. */
+size_t
+occupiedSlots(const core::Vat &vat)
+{
+    size_t slots = 0;
+    vat.forEachTable([&](uint16_t, uint64_t, const core::VatCuckoo &cuckoo) {
+        slots += cuckoo.size();
+    });
+    return slots;
 }
 
 TEST(Snapshot, RestoreContinuesBitExactly)
 {
     Snapshotted s = makeSnapshot();
 
-    core::DracoSoftwareChecker restored(s.policy, 1);
+    core::DracoSoftwareChecker restored(s.policy);
     std::string error;
     ASSERT_TRUE(restoreSnapshot(s.bytes, "tenant-a",
                                 s.policy->programKey, 1, restored,
                                 &error))
         << error;
-
-    // Stats picked up where they left off.
-    EXPECT_EQ(restored.stats().checks, s.checker->stats().checks);
-    EXPECT_EQ(restored.stats().vatHits, s.checker->stats().vatHits);
-    EXPECT_EQ(restored.stats().vatInsertions,
-              s.checker->stats().vatInsertions);
     EXPECT_EQ(restored.vat().evictions(), s.checker->vat().evictions());
+    EXPECT_EQ(occupiedSlots(restored.vat()), occupiedSlots(s.checker->vat()));
+    // The counters are the caller's: the file does not carry them.
+    restored.restoreStats(s.checker->stats());
 
     // Continuation traffic takes identical paths on both checkers —
     // including VAT hits, which prove the cached sets survived.
+    size_t vatHits = 0;
     for (const os::SyscallRequest &req : warmup(8)) {
         core::SwCheckOutcome a = s.checker->check(req);
         core::SwCheckOutcome b = restored.check(req);
         EXPECT_EQ(a.allowed, b.allowed);
         EXPECT_EQ(static_cast<int>(a.path), static_cast<int>(b.path));
+        vatHits += a.path == core::SwPath::VatHit;
     }
+    EXPECT_GT(vatHits, 0u) << "no cached set was exercised";
     EXPECT_EQ(restored.stats().checks, s.checker->stats().checks);
     EXPECT_EQ(restored.stats().vatHits, s.checker->stats().vatHits);
+    EXPECT_EQ(restored.stats().vatInsertions,
+              s.checker->stats().vatInsertions);
+    EXPECT_EQ(encodeSnapshot("tenant-a", restored, 1),
+              encodeSnapshot("tenant-a", *s.checker, 1));
 }
 
 TEST(Snapshot, EncodeIsDeterministic)
@@ -145,76 +159,110 @@ TEST(Snapshot, DenseTablesEncodeWithinTheirBound)
     std::string error;
     ASSERT_TRUE(inspectSnapshot(bytes, info, &error)) << error;
     ASSERT_EQ(info.tables.size(), 1u);
-    EXPECT_GT(info.tables[0].sets, 64u);
+    EXPECT_GT(info.tables[0].slots, 64u);
 
     core::DracoSoftwareChecker restored(policy, 1);
-    ASSERT_EQ(applySnapshot(bytes, "dense", policy->programKey, 1,
-                            restored, &error),
+    ASSERT_EQ(applySnapshot(bytes, "dense", policy->programKey,
+                            restored.mutableVat(), &error),
               RestoreOutcome::Restored)
         << error;
     EXPECT_EQ(encodeSnapshot("dense", restored, 1), bytes);
 }
 
+/**
+ * @p bad, a damaged copy of @p s's file, fails inspection (what
+ * lifecycletool verify runs) and restores as Failed even when the
+ * restorer expects another policy: a decoder that reached the key
+ * would answer Stale, so Failed shows the damage was caught first.
+ */
+void
+expectCaught(const Snapshotted &s, const std::vector<uint8_t> &bad)
+{
+    SnapshotInfo info;
+    std::string error;
+    EXPECT_FALSE(inspectSnapshot(bad, info, &error));
+    core::DracoSoftwareChecker restored(s.policy);
+    EXPECT_EQ(applySnapshot(bad, "tenant-a", s.policy->programKey ^ 1,
+                            restored.mutableVat(), &error),
+              RestoreOutcome::Failed);
+}
+
 TEST(Snapshot, TruncationIsRejectedAtEveryLength)
 {
     Snapshotted s = makeSnapshot();
-    std::string error;
-    std::vector<RawBlock> blocks;
-    // Every proper prefix must fail: either mid-header, mid-block, or
-    // (on a block boundary) at the missing End terminator.
     for (size_t len = 0; len < s.bytes.size(); ++len) {
-        std::vector<uint8_t> cut(s.bytes.begin(),
-                                 s.bytes.begin() +
-                                     static_cast<ptrdiff_t>(len));
-        EXPECT_FALSE(parseSnapshotBlocks(cut, blocks, &error))
-            << "prefix of " << len << " bytes parsed";
+        SCOPED_TRACE("prefix of " + std::to_string(len) + " bytes");
+        expectCaught(s, std::vector<uint8_t>(
+                            s.bytes.begin(),
+                            s.bytes.begin() + static_cast<ptrdiff_t>(len)));
     }
 }
 
 TEST(Snapshot, EveryFlippedBitIsCaught)
 {
     Snapshotted s = makeSnapshot();
-    std::string error;
-    // Walk a stride of bit positions over the whole file (every bit
-    // would be slow); each flip must fail parse or restore.
-    for (size_t bit = 0; bit < s.bytes.size() * 8; bit += 7) {
-        std::vector<uint8_t> mutated = s.bytes;
-        mutated[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-        core::DracoSoftwareChecker restored(s.policy, 1);
-        EXPECT_FALSE(restoreSnapshot(mutated, "tenant-a",
-                                     s.policy->programKey, 1, restored,
-                                     &error))
-            << "flipped bit " << bit << " survived restore";
+    for (size_t bit = 0; bit < s.bytes.size() * 8; ++bit) {
+        SCOPED_TRACE("flipped bit " + std::to_string(bit));
+        std::vector<uint8_t> bad = s.bytes;
+        bad[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        expectCaught(s, bad);
     }
-}
-
-TEST(Snapshot, BadMagicIsRejected)
-{
-    Snapshotted s = makeSnapshot();
-    s.bytes[0] = 'x';
-    std::vector<RawBlock> blocks;
-    std::string error;
-    EXPECT_FALSE(parseSnapshotBlocks(s.bytes, blocks, &error));
-    EXPECT_NE(error.find("magic"), std::string::npos) << error;
-}
-
-TEST(Snapshot, VersionSkewIsRejected)
-{
-    Snapshotted s = makeSnapshot();
-    s.bytes[8] = static_cast<uint8_t>(kSnapshotVersion + 1);
-    std::vector<RawBlock> blocks;
-    std::string error;
-    EXPECT_FALSE(parseSnapshotBlocks(s.bytes, blocks, &error));
-    EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
 TEST(Snapshot, TrailingGarbageIsRejected)
 {
     Snapshotted s = makeSnapshot();
     s.bytes.push_back(0);
-    std::vector<RawBlock> blocks;
+    expectCaught(s, s.bytes);
+}
+
+TEST(Snapshot, BadMagicIsRejected)
+{
+    Snapshotted s = makeSnapshot();
+    s.bytes[0] = 'x';
+    SnapshotInfo info;
     std::string error;
-    EXPECT_FALSE(parseSnapshotBlocks(s.bytes, blocks, &error));
+    EXPECT_FALSE(inspectSnapshot(s.bytes, info, &error));
+    EXPECT_NE(error.find("magic"), std::string::npos) << error;
+}
+
+TEST(Snapshot, VersionSkewIsRejected)
+{
+    // A version-1 file as the block-framed codec wrote it: tenant-a on
+    // testProfile() after one write to fd 1. The magic did not change,
+    // so it reads as version skew.
+    const std::vector<uint8_t> v1 = {
+        0x64, 0x74, 0x73, 0x73, 0x2d, 0x76, 0x31, 0x0a, 0x01, 0x00, 0x01,
+        0x1b, 0x00, 0x00, 0x00, 0x08, 0x74, 0x65, 0x6e, 0x61, 0x6e, 0x74,
+        0x2d, 0x61, 0xc6, 0x33, 0x80, 0x6b, 0xd0, 0x84, 0xbc, 0x93, 0x01,
+        0x01, 0x00, 0x00, 0x01, 0x00, 0x0f, 0x01, 0x00, 0x02, 0x2d, 0x72,
+        0xe5, 0xe3, 0x4e, 0x06, 0xe2, 0xa8, 0x02, 0x23, 0x00, 0x00, 0x00,
+        0x01, 0xff, 0x00, 0xff, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x01,
+        0x00, 0x01, 0x00, 0x00, 0x01, 0x00, 0x01, 0x10, 0x01, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x7f, 0x8d, 0x4b, 0x5f, 0x20, 0xce, 0xf8, 0x14, 0x02,
+        0x10, 0x00, 0x00, 0x00, 0x10, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3a, 0x24,
+        0x89, 0x83, 0xbf, 0x13, 0x0f, 0x18, 0x03, 0x01, 0x00, 0x00, 0x00,
+        0x02, 0x59, 0x0c, 0xfb, 0x18, 0x1c, 0x82, 0x03, 0xac,
+    };
+    Snapshotted s = makeSnapshot();
+    std::vector<uint8_t> next = s.bytes;
+    next[8] = static_cast<uint8_t>(kSnapshotVersion + 1);
+    for (const auto &[bytes, version] :
+         {std::pair{v1, 1}, std::pair{next, kSnapshotVersion + 1}}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        SnapshotInfo info;
+        std::string error;
+        EXPECT_FALSE(inspectSnapshot(bytes, info, &error));
+        EXPECT_NE(error.find("version " + std::to_string(version)),
+                  std::string::npos)
+            << error;
+        core::DracoSoftwareChecker restored(s.policy);
+        EXPECT_EQ(applySnapshot(bytes, "tenant-a", s.policy->programKey,
+                                restored.mutableVat(), &error),
+                  RestoreOutcome::Failed);
+    }
 }
 
 TEST(Snapshot, RestoreContractMismatchesFail)
@@ -222,26 +270,22 @@ TEST(Snapshot, RestoreContractMismatchesFail)
     Snapshotted s = makeSnapshot();
     std::string error;
     {
-        core::DracoSoftwareChecker restored(s.policy, 1);
+        // Another tenant's file of the same policy.
+        core::DracoSoftwareChecker restored(s.policy);
         EXPECT_EQ(applySnapshot(s.bytes, "tenant-b", s.policy->programKey,
-                                1, restored, &error),
+                                restored.mutableVat(), &error),
                   RestoreOutcome::Failed);
+        EXPECT_NE(error.find("tenant-a"), std::string::npos) << error;
     }
     {
-        core::DracoSoftwareChecker restored(s.policy, 2);
-        EXPECT_EQ(applySnapshot(s.bytes, "tenant-a", s.policy->programKey,
-                                2, restored, &error),
-                  RestoreOutcome::Failed);
-    }
-    {
-        // A checker compiled from a different profile has different
-        // tables; even with a forged key the table shapes must trip.
+        // A checker compiled from a profile with no argument tables:
+        // with a forged key the body still does not fit its VAT.
         seccomp::Profile other("other");
         other.allow(os::sc::read);
         auto otherPolicy = core::CompiledPolicy::compile(other);
-        core::DracoSoftwareChecker restored(otherPolicy, 1);
+        core::DracoSoftwareChecker restored(otherPolicy);
         EXPECT_EQ(applySnapshot(s.bytes, "tenant-a", s.policy->programKey,
-                                1, restored, &error),
+                                restored.mutableVat(), &error),
                   RestoreOutcome::Failed);
         EXPECT_FALSE(restoreSnapshot(s.bytes, "tenant-a",
                                      s.policy->programKey, 1, restored,
@@ -253,79 +297,31 @@ TEST(Snapshot, RestoreOutcomeReportsAStalePolicy)
 {
     Snapshotted s = makeSnapshot();
     const uint64_t otherKey = s.policy->programKey ^ 1;
-    core::DracoSoftwareChecker fresh(s.policy, 1);
-    const std::vector<uint8_t> freshBytes =
-        encodeSnapshot("tenant-a", fresh, 1);
-    // Another policy's snapshot is stale whatever tenant it names and
-    // however many filter copies it records, and it places nothing.
+    core::DracoSoftwareChecker fresh(s.policy);
+    const std::vector<uint8_t> freshImage = encodeVatImage(fresh.vat());
+    // Another policy's snapshot is stale whatever tenant it names, and
+    // it places nothing.
     for (const char *tenant : {"tenant-a", "tenant-b"}) {
-        for (unsigned copies : {1u, 2u}) {
-            SCOPED_TRACE(std::string(tenant) + " copies " +
-                         std::to_string(copies));
-            core::DracoSoftwareChecker restored(s.policy, 1);
-            std::string error;
-            EXPECT_EQ(applySnapshot(s.bytes, tenant, otherKey, copies,
-                                    restored, &error),
-                      RestoreOutcome::Stale);
-            EXPECT_NE(error.find("policy"), std::string::npos) << error;
-            EXPECT_EQ(encodeSnapshot("tenant-a", restored, 1), freshBytes)
-                << "a stale snapshot touched the checker";
-            // The yes/no form answers no.
-            EXPECT_FALSE(restoreSnapshot(s.bytes, tenant, otherKey, copies,
-                                         restored, &error));
-        }
+        SCOPED_TRACE(tenant);
+        core::DracoSoftwareChecker restored(s.policy);
+        std::string error;
+        EXPECT_EQ(applySnapshot(s.bytes, tenant, otherKey,
+                                restored.mutableVat(), &error),
+                  RestoreOutcome::Stale);
+        EXPECT_NE(error.find("policy"), std::string::npos) << error;
+        EXPECT_EQ(encodeVatImage(restored.vat()), freshImage)
+            << "a stale snapshot touched the VAT";
+        // The yes/no form answers no.
+        EXPECT_FALSE(restoreSnapshot(s.bytes, tenant, otherKey, 1,
+                                     restored, &error));
     }
     // The snapshot's own policy restores it.
-    core::DracoSoftwareChecker restored(s.policy, 1);
+    core::DracoSoftwareChecker restored(s.policy);
     std::string error;
-    EXPECT_EQ(applySnapshot(s.bytes, "tenant-a", s.policy->programKey, 1,
-                            restored, &error),
+    EXPECT_EQ(applySnapshot(s.bytes, "tenant-a", s.policy->programKey,
+                            restored.mutableVat(), &error),
               RestoreOutcome::Restored)
         << error;
-}
-
-TEST(Snapshot, RestoreOutcomeFailsCorruptHeadersNeverStale)
-{
-    Snapshotted s = makeSnapshot();
-    // Expect another policy: a parse that reached the Meta key would
-    // answer Stale, so Failed shows the damage was caught first.
-    const uint64_t otherKey = s.policy->programKey ^ 1;
-    auto outcome = [&](const std::vector<uint8_t> &bytes) {
-        core::DracoSoftwareChecker restored(s.policy, 1);
-        std::string error;
-        return applySnapshot(bytes, "tenant-a", otherKey, 1, restored,
-                             &error);
-    };
-    ASSERT_EQ(outcome(s.bytes), RestoreOutcome::Stale);
-    {
-        std::vector<uint8_t> bad = s.bytes;
-        bad[0] = 'x'; // magic
-        EXPECT_EQ(outcome(bad), RestoreOutcome::Failed);
-    }
-    {
-        std::vector<uint8_t> bad = s.bytes;
-        bad[8] = static_cast<uint8_t>(kSnapshotVersion + 1);
-        EXPECT_EQ(outcome(bad), RestoreOutcome::Failed);
-    }
-    // The Meta block follows the 10-byte header: type, u32 length,
-    // payload, u64 CRC. Every flipped bit in it, and every truncation
-    // that ends before its CRC does, fails.
-    const size_t metaEnd = 10 + 1 + 4 +
-                           binio::loadLe<uint32_t>(s.bytes.data() + 11) + 8;
-    ASSERT_LT(metaEnd, s.bytes.size());
-    for (size_t bit = 10 * 8; bit < metaEnd * 8; ++bit) {
-        std::vector<uint8_t> bad = s.bytes;
-        bad[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-        EXPECT_EQ(outcome(bad), RestoreOutcome::Failed)
-            << "flipped Meta bit " << bit;
-    }
-    for (size_t len = 0; len < metaEnd; ++len) {
-        std::vector<uint8_t> cut(s.bytes.begin(),
-                                 s.bytes.begin() +
-                                     static_cast<ptrdiff_t>(len));
-        EXPECT_EQ(outcome(cut), RestoreOutcome::Failed)
-            << "prefix of " << len << " bytes";
-    }
 }
 
 TEST(Snapshot, InspectReportsTheTenant)
@@ -336,17 +332,19 @@ TEST(Snapshot, InspectReportsTheTenant)
     ASSERT_TRUE(inspectSnapshot(s.bytes, info, &error)) << error;
     EXPECT_EQ(info.tenant, "tenant-a");
     EXPECT_EQ(info.policyKey, s.policy->programKey);
-    EXPECT_EQ(info.version, kSnapshotVersion);
-    EXPECT_EQ(info.filterCopies, 1u);
-    EXPECT_EQ(info.stats.checks, s.checker->stats().checks);
     EXPECT_EQ(info.bytes, s.bytes.size());
+    EXPECT_EQ(info.vatEvictions, s.checker->vat().evictions());
     // write and ioctl check arguments; read is ID-only (no table).
+    ASSERT_EQ(info.tables.size(), s.checker->vat().tableCount());
     EXPECT_EQ(info.tables.size(), 2u);
-    uint64_t sets = 0;
-    for (const SnapshotTableInfo &table : info.tables)
-        sets += table.sets;
-    EXPECT_EQ(sets, s.checker->stats().vatInsertions -
-                        s.checker->vat().evictions());
+    uint64_t slots = 0;
+    uint64_t hits = 0;
+    for (const SnapshotTableInfo &table : info.tables) {
+        slots += table.slots;
+        hits += table.stats.hits;
+    }
+    EXPECT_EQ(slots, occupiedSlots(s.checker->vat()));
+    EXPECT_EQ(hits, s.checker->stats().vatHits);
 }
 
 /**
@@ -384,17 +382,17 @@ goldenStream(const seccomp::Profile &profile)
 
 TEST(Snapshot, GoldenBytesArePinned)
 {
-    // CRC-64 (ECMA) of each encoding, pinned when the format was
-    // frozen: a codec rewrite must leave every byte where it was.
+    // CRC-64 (ECMA) of each version-2 encoding, pinned when the format
+    // was frozen: a codec rewrite must leave every byte where it was.
     struct Golden {
         seccomp::Profile profile;
         uint64_t crc;
         size_t bytes;
     };
     const Golden goldens[] = {
-        {seccomp::dockerDefaultProfile(), 0x0e13b3df6d9ca29aULL, 208},
-        {seccomp::gvisorProfile(), 0x6125ec7a0312fdd9ULL, 2406},
-        {seccomp::firecrackerProfile(), 0x4511a400017455b5ULL, 280},
+        {seccomp::dockerDefaultProfile(), 0xb2b86ef2c423e0cbULL, 130},
+        {seccomp::gvisorProfile(), 0xe4e00a7889427032ULL, 1715},
+        {seccomp::firecrackerProfile(), 0x976e203148f24431ULL, 153},
     };
     for (const Golden &golden : goldens) {
         SCOPED_TRACE(golden.profile.name());
@@ -402,59 +400,29 @@ TEST(Snapshot, GoldenBytesArePinned)
         core::DracoSoftwareChecker checker(policy);
         for (const os::SyscallRequest &req : goldenStream(golden.profile))
             checker.check(req);
+        ASSERT_GT(occupiedSlots(checker.vat()), 0u);
         std::vector<uint8_t> bytes =
             encodeSnapshot("golden-tenant", checker, 1);
-
-        SnapshotInfo info;
-        std::string error;
-        ASSERT_TRUE(inspectSnapshot(bytes, info, &error)) << error;
-        uint64_t sets = 0;
-        for (const SnapshotTableInfo &table : info.tables)
-            sets += table.sets;
-        EXPECT_GT(sets, 0u);
 
         uint64_t crc = crc64Ecma().compute(bytes.data(), bytes.size());
         EXPECT_EQ(crc, golden.crc);
         EXPECT_EQ(bytes.size(), golden.bytes);
+        // The file is the VAT image's body behind its header: the two
+        // end alike up to their own CRCs.
+        const std::vector<uint8_t> image = encodeVatImage(checker.vat());
+        ASSERT_GT(bytes.size(), image.size());
+        EXPECT_TRUE(std::equal(image.begin(), image.end() - 8,
+                               bytes.end() -
+                                   static_cast<ptrdiff_t>(image.size())));
 
         core::DracoSoftwareChecker restored(policy);
+        std::string error;
         ASSERT_TRUE(restoreSnapshot(bytes, "golden-tenant",
                                     policy->programKey, 1, restored,
                                     &error))
             << error;
         EXPECT_EQ(encodeSnapshot("golden-tenant", restored, 1), bytes);
     }
-}
-
-TEST(Snapshot, CompactRoundTripIsIdentity)
-{
-    Snapshotted s = makeSnapshot();
-    std::vector<RawBlock> blocks;
-    std::string error;
-    ASSERT_TRUE(parseSnapshotBlocks(s.bytes, blocks, &error)) << error;
-    EXPECT_EQ(serializeSnapshotBlocks(blocks), s.bytes);
-
-    // A block with an empty payload (structurally valid, so compact
-    // keeps it) survives the round trip too.
-    blocks.push_back(RawBlock{9, {}});
-    std::vector<RawBlock> reparsed;
-    ASSERT_TRUE(parseSnapshotBlocks(serializeSnapshotBlocks(blocks),
-                                    reparsed, &error))
-        << error;
-    ASSERT_EQ(reparsed.size(), blocks.size());
-    EXPECT_EQ(reparsed.back().type, 9);
-    EXPECT_TRUE(reparsed.back().payload.empty());
-}
-
-/** @return The occupied slots across @p vat's tables. */
-size_t
-occupiedSlots(const core::Vat &vat)
-{
-    size_t slots = 0;
-    vat.forEachTable([&](uint16_t, uint64_t, const core::VatCuckoo &cuckoo) {
-        slots += cuckoo.size();
-    });
-    return slots;
 }
 
 TEST(VatImage, EncodeApplyEncodeIsAFixedPoint)
@@ -562,6 +530,35 @@ TEST(VatImage, InsertPressureContinuesIdentically)
                   restored.lookup(0, key(i)).has_value());
     }
     EXPECT_EQ(encodeVatImage(restored), encodeVatImage(kept));
+}
+
+TEST(VatImage, GoldenBytesArePinned)
+{
+    // Size and CRC-64 (ECMA) of each whole image, pinned before the
+    // `.dtss` codec was rebuilt on the image's body writer: that rewrite
+    // must leave every image byte where it was.
+    struct Golden {
+        seccomp::Profile profile;
+        uint64_t crc;
+        size_t bytes;
+    };
+    const Golden goldens[] = {
+        {seccomp::dockerDefaultProfile(), 0xfdaa90c6a6a8d0d0ULL, 98},
+        {seccomp::gvisorProfile(), 0x02796877f2eefa36ULL, 1683},
+        {seccomp::firecrackerProfile(), 0x282fe533988b574dULL, 121},
+    };
+    for (const Golden &golden : goldens) {
+        SCOPED_TRACE(golden.profile.name());
+        auto policy = core::CompiledPolicy::compile(golden.profile);
+        core::DracoSoftwareChecker checker(policy);
+        for (const os::SyscallRequest &req : goldenStream(golden.profile))
+            checker.check(req);
+        ASSERT_GT(occupiedSlots(checker.vat()), 0u);
+        const std::vector<uint8_t> image = encodeVatImage(checker.vat());
+        EXPECT_EQ(image.size(), golden.bytes);
+        EXPECT_EQ(crc64Ecma().compute(image.data(), image.size()),
+                  golden.crc);
+    }
 }
 
 TEST(VatImage, EveryFlippedBitTruncationAndTrailingByteFails)

@@ -500,10 +500,11 @@ TEST(HotSwap, VerdictStreamIsShardCountInvariantUnderSwaps)
                         static_cast<uint8_t>(resp.status));
                     verdicts[t].push_back(
                         static_cast<uint8_t>(resp.epoch));
-                    if ((i + 1) % kSwapEvery == 0)
+                    if ((i + 1) % kSwapEvery == 0) {
                         ASSERT_TRUE(service.swapProfile(
                             ids[t],
                             profiles[++cursor % profiles.size()]));
+                    }
                 }
             });
         }

@@ -124,6 +124,15 @@ TEST(Isolation, FlooderShedsItsOwnTrafficNotTheVictims)
         }
     });
 
+    // The victim runs only once the flooder is past its cap: on a busy
+    // host the flood thread may not be scheduled before a short victim
+    // run ends, and the victim would then run uncontended.
+    const auto floodDeadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (floodShed.load() == 0 &&
+           std::chrono::steady_clock::now() < floodDeadline)
+        std::this_thread::yield();
+
     QuantileSketch contended = runVictim(service, victim);
     stopFlood.store(true);
     floodThread.join();

@@ -4,13 +4,18 @@
  * identical to all-resident ones, eviction/restore round-trips keep
  * per-tenant counters (VAT images in the slots and `.dtss` in an
  * injected store alike, swaps included), every snapshot-corruption
- * flavour fails closed (fresh rebuild + error metric, never a wrong
- * verdict, counters kept), the resident list evicts coldest first,
- * and the lifecycle gauges show up in stats and metrics.
+ * flavour fails closed over an in-memory store and over real files
+ * (fresh rebuild + error metric, never a wrong verdict, counters
+ * kept), another tenant's intact file included, the resident list
+ * evicts coldest first, and the lifecycle gauges show up in stats and
+ * metrics.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
@@ -246,26 +251,47 @@ TEST(ServeLifecycle, ImagesDtssAndAllResidentReportEqualStats)
 }
 
 /**
- * Fixture driving a single-shard capped service against an external
- * store so tests can corrupt snapshots between accesses.
+ * Fixture driving a single-shard capped service against an injected
+ * store so tests can corrupt snapshots between accesses. Each case runs
+ * once per backend (forEachStore()): a MemorySnapshotStore, and a
+ * DirSnapshotStore in a fresh temp directory, whose `.dtss` files the
+ * service writes and reads back.
  */
 class CorruptionTest : public ::testing::Test
 {
   protected:
     void
-    SetUp() override
+    TearDown() override
     {
-        options.shards = 1;
-        options.maxResidentTenants = 2;
-        options.snapshotStore = &store;
-        service = std::make_unique<CheckService>(options);
-        victim = service->createTenant("victim", testProfile());
-        ASSERT_NE(victim, kInvalidTenant);
-        for (int i = 0; i < 2; ++i) {
-            TenantId id = service->createTenant(
-                "filler-" + std::to_string(i), testProfile());
-            ASSERT_NE(id, kInvalidTenant);
-            fillers.push_back(id);
+        service.reset();
+        std::filesystem::remove_all(dir);
+    }
+
+    /** Run @p scenario on a fresh service over each store backend. */
+    void
+    forEachStore(const std::function<void()> &scenario)
+    {
+        ASSERT_TRUE(files.ok());
+        lifecycle::SnapshotStore *backends[] = {&memory, &files};
+        for (lifecycle::SnapshotStore *backend : backends) {
+            SCOPED_TRACE(backend->kind());
+            store = backend;
+            ServiceOptions options;
+            options.shards = 1;
+            options.maxResidentTenants = 2;
+            options.snapshotStore = store;
+            service = std::make_unique<CheckService>(options);
+            victim = service->createTenant("victim", testProfile());
+            ASSERT_NE(victim, kInvalidTenant);
+            fillers.clear();
+            for (int i = 0; i < 2; ++i) {
+                TenantId id = service->createTenant(
+                    "filler-" + std::to_string(i), testProfile());
+                ASSERT_NE(id, kInvalidTenant);
+                fillers.push_back(id);
+            }
+            scenario();
+            service.reset();
         }
     }
 
@@ -279,7 +305,7 @@ class CorruptionTest : public ::testing::Test
             ASSERT_EQ(service->check(id, request(os::sc::read)).status,
                       CheckStatus::Allowed);
         std::vector<uint8_t> bytes;
-        ASSERT_TRUE(store.get("victim", bytes))
+        ASSERT_TRUE(store->get("victim", bytes))
             << "victim was not snapshotted";
     }
 
@@ -288,9 +314,9 @@ class CorruptionTest : public ::testing::Test
     corrupt(const std::function<void(std::vector<uint8_t> &)> &mutate)
     {
         std::vector<uint8_t> bytes;
-        ASSERT_TRUE(store.get("victim", bytes));
+        ASSERT_TRUE(store->get("victim", bytes));
         mutate(bytes);
-        ASSERT_TRUE(store.put("victim", bytes));
+        ASSERT_TRUE(store->put("victim", bytes));
     }
 
     /**
@@ -321,8 +347,21 @@ class CorruptionTest : public ::testing::Test
         EXPECT_EQ(tenant.denied, 1u);
     }
 
-    ServiceOptions options;
-    lifecycle::MemorySnapshotStore store;
+    /** @return A fresh temp directory path for the file-backed store. */
+    static std::filesystem::path
+    freshDir()
+    {
+        std::filesystem::path path =
+            std::filesystem::temp_directory_path() /
+            ("draco-corruption-test-" + std::to_string(::getpid()));
+        std::filesystem::remove_all(path);
+        return path;
+    }
+
+    const std::filesystem::path dir = freshDir();
+    lifecycle::MemorySnapshotStore memory;
+    lifecycle::DirSnapshotStore files{dir.string()};
+    lifecycle::SnapshotStore *store = nullptr;
     std::unique_ptr<CheckService> service;
     TenantId victim = kInvalidTenant;
     std::vector<TenantId> fillers;
@@ -330,65 +369,99 @@ class CorruptionTest : public ::testing::Test
 
 TEST_F(CorruptionTest, TruncatedSnapshotFailsClosed)
 {
-    evictVictim();
-    corrupt([](std::vector<uint8_t> &b) { b.resize(b.size() / 2); });
-    expectFailClosed(1);
+    forEachStore([&] {
+        evictVictim();
+        corrupt([](std::vector<uint8_t> &b) { b.resize(b.size() / 2); });
+        expectFailClosed(1);
+    });
 }
 
 TEST_F(CorruptionTest, CrcFlipFailsClosed)
 {
-    evictVictim();
-    // Flip one bit in the middle of the payload area.
-    corrupt([](std::vector<uint8_t> &b) { b[b.size() / 2] ^= 0x10; });
-    expectFailClosed(1);
+    forEachStore([&] {
+        evictVictim();
+        // Flip one bit in the middle of the file.
+        corrupt([](std::vector<uint8_t> &b) { b[b.size() / 2] ^= 0x10; });
+        expectFailClosed(1);
+    });
 }
 
 TEST_F(CorruptionTest, BadMagicFailsClosed)
 {
-    evictVictim();
-    corrupt([](std::vector<uint8_t> &b) { b[0] ^= 1; });
-    expectFailClosed(1);
+    forEachStore([&] {
+        evictVictim();
+        corrupt([](std::vector<uint8_t> &b) { b[0] ^= 1; });
+        expectFailClosed(1);
+    });
 }
 
 TEST_F(CorruptionTest, VersionSkewFailsClosed)
 {
-    evictVictim();
-    corrupt([](std::vector<uint8_t> &b) {
-        b[8] = static_cast<uint8_t>(lifecycle::kSnapshotVersion + 1);
+    forEachStore([&] {
+        evictVictim();
+        corrupt([](std::vector<uint8_t> &b) {
+            b[8] = static_cast<uint8_t>(lifecycle::kSnapshotVersion + 1);
+        });
+        expectFailClosed(1);
     });
-    expectFailClosed(1);
+}
+
+TEST_F(CorruptionTest, AnotherTenantsSnapshotFailsClosed)
+{
+    forEachStore([&] {
+        // At a cap of 2 the third tenant touched evicts the first, so
+        // filler-0 is snapshotted while the victim is resident.
+        for (TenantId id : {fillers[0], fillers[1], victim})
+            ASSERT_EQ(service->check(id, request(os::sc::read)).status,
+                      CheckStatus::Allowed);
+        std::vector<uint8_t> filler;
+        ASSERT_TRUE(store->get("filler-0", filler));
+        for (TenantId id : fillers)
+            ASSERT_EQ(service->check(id, request(os::sc::read)).status,
+                      CheckStatus::Allowed);
+        // The victim's snapshot becomes filler-0's: intact and of the
+        // same policy, but it names another tenant.
+        corrupt([&](std::vector<uint8_t> &b) { b = filler; });
+        expectFailClosed(1);
+    });
 }
 
 TEST_F(CorruptionTest, VanishedSnapshotFailsClosed)
 {
-    evictVictim();
-    ASSERT_TRUE(store.remove("victim"));
-    expectFailClosed(1);
+    forEachStore([&] {
+        evictVictim();
+        ASSERT_TRUE(store->remove("victim"));
+        expectFailClosed(1);
+    });
 }
 
 TEST_F(CorruptionTest, IntactSnapshotRestoresCleanly)
 {
-    evictVictim();
-    expectFailClosed(0); // No corruption: restore, no failure counted.
-    ServiceStatsSnapshot stats;
-    service->serviceStats(stats);
-    EXPECT_EQ(stats.restores, 1u);
+    forEachStore([&] {
+        evictVictim();
+        expectFailClosed(0); // No corruption: restore, no failure counted.
+        ServiceStatsSnapshot stats;
+        service->serviceStats(stats);
+        EXPECT_EQ(stats.restores, 1u);
+    });
 }
 
 TEST_F(CorruptionTest, AdminEvictDropsTheSnapshot)
 {
-    evictVictim();
-    ServiceStatsSnapshot stats;
-    service->serviceStats(stats);
-    EXPECT_EQ(stats.snapshotted, 1u);
+    forEachStore([&] {
+        evictVictim();
+        ServiceStatsSnapshot stats;
+        service->serviceStats(stats);
+        EXPECT_EQ(stats.snapshotted, 1u);
 
-    EXPECT_TRUE(service->evictTenant(victim));
-    service->serviceStats(stats);
-    EXPECT_EQ(stats.snapshotted, 0u);
-    std::vector<uint8_t> bytes;
-    EXPECT_FALSE(store.get("victim", bytes));
-    EXPECT_EQ(service->check(victim, request(os::sc::read)).status,
-              CheckStatus::UnknownTenant);
+        EXPECT_TRUE(service->evictTenant(victim));
+        service->serviceStats(stats);
+        EXPECT_EQ(stats.snapshotted, 0u);
+        std::vector<uint8_t> bytes;
+        EXPECT_FALSE(store->get("victim", bytes));
+        EXPECT_EQ(service->check(victim, request(os::sc::read)).status,
+                  CheckStatus::UnknownTenant);
+    });
 }
 
 /**

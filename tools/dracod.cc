@@ -68,9 +68,10 @@ main(int argc, char **argv)
                   "resident-tenant budget; colder tenants snapshot to "
                   "the store and restore on demand (0 = unbounded)", 0);
     flags.addString("snapshot-dir", "path",
-                    "directory for evicted-tenant .dtss snapshots "
-                    "(default: a VAT image in each tenant's slot, in "
-                    "memory)");
+                    "directory for evicted-tenant .dtss snapshots, "
+                    "each a VAT image behind its tenant name and policy "
+                    "key (default: the bare image in each tenant's "
+                    "slot, in memory)");
     flags.addString("metrics-listen", "host:port",
                     "HTTP observability endpoint: /metrics (Prometheus "
                     "text), /healthz, /statz, /slowz (port 0 picks a "

@@ -1,29 +1,28 @@
 /**
  * @file
- * lifecycletool — inspect, verify, and compact `.dtss` snapshots.
+ * lifecycletool — inspect, verify, and prune `.dtss` snapshots.
  *
  * Operates on a single snapshot file or on a whole snapshot directory
  * (every `*.dtss` inside, non-recursive) — the on-disk form of a
- * DirSnapshotStore that dracod runs with `--snapshot-dir`.
+ * DirSnapshotStore that dracod runs with `--snapshot-dir`. Every
+ * command decodes each file with lifecycle::inspectSnapshot(), which
+ * checks the magic, the version and the file's one CRC-64 and needs no
+ * policy.
  *
- *   inspect: print each snapshot's tenant, policy key, counters, and
- *            per-table occupancy.
- *   verify:  structure-check every block CRC and the End terminator;
- *            exit 1 when any snapshot is corrupt.
- *   compact: re-serialize each verified snapshot in place (tmp +
- *            rename), dropping any trailing garbage an interrupted
- *            writer left behind. --prune deletes snapshots that fail
- *            verification instead of leaving them to fail restores.
+ *   inspect: print each snapshot's tenant, policy key, VAT eviction
+ *            count, and per-table occupancy by table index.
+ *   verify:  exit 1 when any snapshot fails to decode.
+ *   prune:   delete every snapshot that fails to decode, instead of
+ *            leaving it to fail a restore.
  *
  * Usage:
  *   lifecycletool inspect <file.dtss | dir>
  *   lifecycletool verify <file.dtss | dir>
- *   lifecycletool compact <file.dtss | dir> [--prune]
+ *   lifecycletool prune <file.dtss | dir>
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -42,8 +41,7 @@ usage()
     std::fprintf(stderr,
                  "usage: lifecycletool inspect <file.dtss | dir>\n"
                  "       lifecycletool verify <file.dtss | dir>\n"
-                 "       lifecycletool compact <file.dtss | dir> "
-                 "[--prune]\n");
+                 "       lifecycletool prune <file.dtss | dir>\n");
     return 2;
 }
 
@@ -65,110 +63,59 @@ snapshotFiles(const std::string &target)
     return files;
 }
 
-int
-inspectOne(const std::string &path)
+void
+printInfo(const std::string &path, const lifecycle::SnapshotInfo &info)
 {
-    std::vector<uint8_t> bytes;
-    if (!lifecycle::readSnapshotFile(path, bytes)) {
-        std::fprintf(stderr, "lifecycletool: cannot read %s\n",
-                     path.c_str());
-        return 1;
-    }
-    lifecycle::SnapshotInfo info;
-    std::string error;
-    if (!lifecycle::inspectSnapshot(bytes, info, &error)) {
-        std::fprintf(stderr, "lifecycletool: %s: %s\n", path.c_str(),
-                     error.c_str());
-        return 1;
-    }
     std::printf("%s:\n", path.c_str());
     std::printf("  tenant         %s\n", info.tenant.c_str());
     std::printf("  policy_key     %016llx\n",
                 static_cast<unsigned long long>(info.policyKey));
-    std::printf("  version        %u\n", info.version);
-    std::printf("  filter_copies  %u\n", info.filterCopies);
+    std::printf("  version        %u\n", lifecycle::kSnapshotVersion);
     std::printf("  bytes          %zu\n", info.bytes);
-    std::printf("  checks         %llu (spt_allow_all %llu, vat_hits "
-                "%llu, filter_runs %llu, denials %llu)\n",
-                static_cast<unsigned long long>(info.stats.checks),
-                static_cast<unsigned long long>(info.stats.sptAllowAll),
-                static_cast<unsigned long long>(info.stats.vatHits),
-                static_cast<unsigned long long>(info.stats.filterRuns),
-                static_cast<unsigned long long>(info.stats.denials));
     std::printf("  vat            %zu tables, %llu evictions\n",
                 info.tables.size(),
                 static_cast<unsigned long long>(info.vatEvictions));
-    for (const lifecycle::SnapshotTableInfo &table : info.tables) {
-        std::printf("    sid %-5u bitmask %02llx  %llu/%llu slots\n",
-                    table.sid,
-                    static_cast<unsigned long long>(table.bitmask),
-                    static_cast<unsigned long long>(table.sets),
-                    static_cast<unsigned long long>(table.buckets * 2));
+    for (size_t i = 0; i < info.tables.size(); ++i) {
+        const lifecycle::SnapshotTableInfo &table = info.tables[i];
+        std::printf("    table %-4zu %llu slots, %llu lookups, %llu hits, "
+                    "%llu insertions, %llu evictions\n",
+                    i, static_cast<unsigned long long>(table.slots),
+                    static_cast<unsigned long long>(table.stats.lookups),
+                    static_cast<unsigned long long>(table.stats.hits),
+                    static_cast<unsigned long long>(table.stats.insertions),
+                    static_cast<unsigned long long>(table.stats.evictions));
     }
-    return 0;
 }
 
+/**
+ * Run @p command on the snapshot at @p path.
+ *
+ * @return 0 when the file decodes, or when prune removed it.
+ */
 int
-verifyOne(const std::string &path, bool quiet)
+runOne(const std::string &command, const std::string &path)
 {
     std::vector<uint8_t> bytes;
-    if (!lifecycle::readSnapshotFile(path, bytes)) {
-        std::fprintf(stderr, "lifecycletool: cannot read %s\n",
-                     path.c_str());
-        return 1;
+    lifecycle::SnapshotInfo info;
+    std::string error = "cannot read the file";
+    if (lifecycle::readSnapshotFile(path, bytes) &&
+        lifecycle::inspectSnapshot(bytes, info, &error)) {
+        if (command == "inspect")
+            printInfo(path, info);
+        else if (command == "verify")
+            std::printf("%s: ok (%zu tables, %zu bytes)\n", path.c_str(),
+                        info.tables.size(), info.bytes);
+        return 0;
     }
-    std::vector<lifecycle::RawBlock> blocks;
-    std::string error;
-    if (!lifecycle::parseSnapshotBlocks(bytes, blocks, &error)) {
+    if (command != "prune") {
         std::fprintf(stderr, "lifecycletool: %s: CORRUPT: %s\n",
                      path.c_str(), error.c_str());
         return 1;
     }
-    if (!quiet)
-        std::printf("%s: ok (%zu blocks, %zu bytes)\n", path.c_str(),
-                    blocks.size(), bytes.size());
-    return 0;
-}
-
-int
-compactOne(const std::string &path, bool prune)
-{
-    std::vector<uint8_t> bytes;
-    if (!lifecycle::readSnapshotFile(path, bytes)) {
-        std::fprintf(stderr, "lifecycletool: cannot read %s\n",
-                     path.c_str());
-        return 1;
-    }
-    std::vector<lifecycle::RawBlock> blocks;
-    std::string error;
-    if (!lifecycle::parseSnapshotBlocks(bytes, blocks, &error)) {
-        if (prune) {
-            std::error_code ec;
-            fs::remove(path, ec);
-            std::printf("%s: corrupt (%s), pruned\n", path.c_str(),
-                        error.c_str());
-            return ec ? 1 : 0;
-        }
-        std::fprintf(stderr, "lifecycletool: %s: CORRUPT: %s "
-                     "(use --prune to delete)\n",
-                     path.c_str(), error.c_str());
-        return 1;
-    }
-    std::vector<uint8_t> compacted =
-        lifecycle::serializeSnapshotBlocks(blocks);
-    if (compacted == bytes) {
-        std::printf("%s: already compact (%zu bytes)\n", path.c_str(),
-                    bytes.size());
-        return 0;
-    }
-    if (!lifecycle::writeSnapshotFile(path, compacted)) {
-        std::fprintf(stderr, "lifecycletool: cannot rewrite %s\n",
-                     path.c_str());
-        return 1;
-    }
-    std::printf("%s: %zu -> %zu bytes\n", path.c_str(), bytes.size(),
-                compacted.size());
-    return 0;
+    std::error_code ec;
+    fs::remove(path, ec);
+    std::printf("%s: corrupt (%s), pruned\n", path.c_str(), error.c_str());
+    return ec ? 1 : 0;
 }
 
 } // namespace
@@ -176,20 +123,11 @@ compactOne(const std::string &path, bool prune)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
+    if (argc != 3)
         return usage();
-    std::string command = argv[1];
-    std::string target;
-    bool prune = false;
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--prune") == 0 && command == "compact")
-            prune = true;
-        else if (target.empty() && argv[i][0] != '-')
-            target = argv[i];
-        else
-            return usage();
-    }
-    if (target.empty())
+    const std::string command = argv[1];
+    const std::string target = argv[2];
+    if (command != "inspect" && command != "verify" && command != "prune")
         return usage();
 
     std::vector<std::string> files = snapshotFiles(target);
@@ -200,18 +138,8 @@ main(int argc, char **argv)
     }
 
     int failures = 0;
-    for (const std::string &path : files) {
-        int rc;
-        if (command == "inspect")
-            rc = inspectOne(path);
-        else if (command == "verify")
-            rc = verifyOne(path, false);
-        else if (command == "compact")
-            rc = compactOne(path, prune);
-        else
-            return usage();
-        failures += rc != 0;
-    }
+    for (const std::string &path : files)
+        failures += runOne(command, path) != 0;
     if (files.size() > 1)
         std::printf("%zu snapshots, %d bad\n", files.size(), failures);
     return failures == 0 ? 0 : 1;
