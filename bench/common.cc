@@ -390,7 +390,9 @@ tenantTraffic(unsigned tenants, size_t perTenant)
     for (unsigned t = 0; t < tenants; ++t) {
         const workload::AppModel &app = *apps[t % apps.size()];
         workload::TraceGenerator gen(app, splitSeed(workloadSeed(app), t));
-        out[t].name = "t" + std::to_string(t);
+        std::string name = "t";
+        name += std::to_string(t);
+        out[t].name = std::move(name);
         for (const workload::TraceEvent &ev : gen.generate(perTenant))
             out[t].reqs.push_back(ev.req);
     }

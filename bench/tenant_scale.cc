@@ -145,8 +145,9 @@ runPhase(const Config &cfg, uint64_t residentCap,
     static const seccomp::Profile profile =
         seccomp::dockerDefaultProfile();
     for (uint64_t t = 0; t < cfg.tenants; ++t) {
-        serve::TenantId id =
-            service.createTenant("t" + std::to_string(t), profile);
+        std::string name = "t";
+        name += std::to_string(t);
+        serve::TenantId id = service.createTenant(name, profile);
         if (id != t + 1)
             fatal("tenant_scale: tenant %" PRIu64 " got id %u", t, id);
     }

@@ -17,48 +17,67 @@ allocateSoftSptBase()
     return next.fetch_add(0x10000, std::memory_order_relaxed);
 }
 
+/** Distinct VAT region per process (cache-model only). */
+std::atomic<uint64_t> g_nextVatBase{0x600000000000ULL};
+
 } // namespace
 
 HwProcessContext::HwProcessContext(const seccomp::Profile &profile,
                                    unsigned filter_copies)
-    : _profile(profile), _filterCopies(filter_copies),
-      _filter(seccomp::buildFilterChain(profile)),
-      _specs(deriveCheckSpecs(profile)),
-      _softSptBase(allocateSoftSptBase())
+    : _policy(CompiledPolicy::compile(profile)),
+      _filterCopies(filter_copies), _softSptBase(allocateSoftSptBase())
 {
     if (filter_copies == 0)
         fatal("HwProcessContext: need at least one filter copy");
-    for (const auto &[sid, spec] : _specs)
-        if (spec.checksArguments())
-            _vat.configure(sid, spec.bitmask, spec.estimatedSets);
+    // The software checker's VAT layout: table k belongs to argSpecs[k].
+    _vat.configure(_policy->argSpecs);
+    uint64_t regionBytes = 0;
+    for (const CheckSpec &spec : _policy->argSpecs) {
+        _tableOffset.push_back(regionBytes);
+        // Both ways' slots, rounded up to whole pages.
+        uint64_t bytes =
+            2 * _vat.buckets(spec.sid) * _vat.entryBytes(spec.sid);
+        regionBytes += (bytes + 4095) / 4096 * 4096;
+    }
+    _vatRegionBegin =
+        g_nextVatBase.fetch_add(regionBytes, std::memory_order_relaxed);
+    _vatRegionEnd = _vatRegionBegin + regionBytes;
 }
 
 const CheckSpec *
 HwProcessContext::spec(uint16_t sid) const
 {
-    auto it = _specs.find(sid);
-    return it == _specs.end() ? nullptr : &it->second;
+    auto it = _policy->specs.find(sid);
+    return it == _policy->specs.end() ? nullptr : &it->second;
 }
 
 std::pair<bool, uint64_t>
 HwProcessContext::runFilter(const os::SyscallRequest &req)
 {
-    os::SeccompData data = req.toSeccompData();
-    uint64_t insns = 0;
-    uint32_t action = 0;
-    for (unsigned copy = 0; copy < _filterCopies; ++copy) {
-        seccomp::BpfResult r = _filter.run(data);
-        action = r.action;
-        insns += r.insnsExecuted;
-    }
-    return {os::actionAllows(static_cast<os::SeccompAction>(action)),
-            insns};
+    seccomp::BpfResult r =
+        _policy->runFilter(req.toSeccompData(), _filterCopies);
+    return {os::actionAllows(static_cast<os::SeccompAction>(r.action)),
+            r.insnsExecuted};
 }
 
 uint64_t
 HwProcessContext::softSptAddress(uint16_t sid) const
 {
     return _softSptBase + static_cast<uint64_t>(sid) * 16;
+}
+
+uint64_t
+HwProcessContext::entryAddress(uint16_t sid, const VatToken &token) const
+{
+    Vat::TableIndex table = _vat.tableIndex(sid);
+    if (table == Vat::kNoTable)
+        panic("HwProcessContext::entryAddress: sid %u has no VAT table",
+              sid);
+    uint64_t buckets = _vat.buckets(sid);
+    uint64_t slot = static_cast<uint64_t>(token.way) * buckets +
+        (token.hash & (buckets - 1));
+    return _vatRegionBegin + _tableOffset[table] +
+        slot * _vat.entryBytes(sid);
 }
 
 DracoHardwareEngine::DracoHardwareEngine(bool preload_enabled)
@@ -203,7 +222,7 @@ DracoHardwareEngine::onDispatch(uint64_t pc)
     if (_tracer)
         _tracer->record(obs::EventKind::SlbPreloadMiss, sid, pc);
     _pending.memAddrs.push_back(
-        _proc->vat().entryAddress(sid, prediction->token));
+        _proc->entryAddress(sid, prediction->token));
     auto contents = _proc->vat().slotContents(sid, prediction->token);
     if (contents) {
         _temp.stage(TemporaryBuffer::Staged{sid, argc, prediction->token,
@@ -316,9 +335,9 @@ DracoHardwareEngine::onRobHead(const os::SyscallRequest &req)
 
     // SLB access miss: probe the VAT's two ways at the ROB head.
     Vat &vat = _proc->vat();
-    result.headMemAddrs.push_back(vat.entryAddress(
+    result.headMemAddrs.push_back(_proc->entryAddress(
         req.sid, VatToken{CuckooWay::H1, vatHash(CuckooWay::H1, key)}));
-    result.headMemAddrs.push_back(vat.entryAddress(
+    result.headMemAddrs.push_back(_proc->entryAddress(
         req.sid, VatToken{CuckooWay::H2, vatHash(CuckooWay::H2, key)}));
 
     auto vatHit = vat.lookup(req.sid, key);

@@ -6,6 +6,10 @@
  * when it reaches the ROB head — reporting which of the paper's six
  * execution flows (Table I) the call took, plus every memory access the
  * flow performed, so the timing model can price it.
+ *
+ * The engine, its structures and core/smt.hh are draco_model, which
+ * dracod never links. The engine reads a process's VAT by location, so
+ * HwProcessContext assigns its tables' modeled addresses.
  */
 
 #ifndef DRACO_CORE_HW_ENGINE_HH
@@ -13,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -27,15 +30,17 @@
 namespace draco::core {
 
 /**
- * Per-process state the OS maintains for hardware Draco: the profile,
- * its compiled fallback filter, the derived check specs (the software
- * SPT image), and the VAT.
+ * Per-process state the OS maintains for hardware Draco: the compiled
+ * policy (profile, fallback filter, and check specs, the software SPT
+ * image), the VAT, and the modeled addresses of both. The VAT takes
+ * one region per context, its tables in table order and each rounded
+ * up to whole pages.
  */
 class HwProcessContext
 {
   public:
     /**
-     * @param profile Policy for this process (copied).
+     * @param profile Policy for this process (compiled privately).
      * @param filter_copies 1, or 2 for syscall-complete-2x.
      */
     explicit HwProcessContext(const seccomp::Profile &profile,
@@ -58,15 +63,25 @@ class HwProcessContext
     /** @return Synthetic address of the software SPT entry for @p sid. */
     uint64_t softSptAddress(uint16_t sid) const;
 
+    /** @return Synthetic address of @p token's slot in @p sid's table. */
+    uint64_t entryAddress(uint16_t sid, const VatToken &token) const;
+
+    /** @return First address of the process's VAT region. */
+    uint64_t vatRegionBegin() const { return _vatRegionBegin; }
+
+    /** @return One past the last address of the VAT region. */
+    uint64_t vatRegionEnd() const { return _vatRegionEnd; }
+
     /** Saved Accessed-bit SPT entries from the last switch-out. */
     std::vector<HwSptEntry> savedSpt;
 
   private:
-    seccomp::Profile _profile;
+    std::shared_ptr<const CompiledPolicy> _policy;
     unsigned _filterCopies;
-    seccomp::FilterChain _filter;
-    std::map<uint16_t, CheckSpec> _specs;
     Vat _vat;
+    std::vector<uint64_t> _tableOffset; ///< In the region, by TableIndex.
+    uint64_t _vatRegionBegin = 0;
+    uint64_t _vatRegionEnd = 0;
     uint64_t _softSptBase;
 };
 

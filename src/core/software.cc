@@ -45,6 +45,18 @@ CompiledPolicy::CompiledPolicy(const seccomp::Profile &profile_,
     }
 }
 
+seccomp::BpfResult
+CompiledPolicy::runFilter(const os::SeccompData &data, unsigned copies) const
+{
+    seccomp::BpfResult result{};
+    for (unsigned copy = 0; copy < copies; ++copy) {
+        seccomp::BpfResult r = filter.run(data);
+        result.action = r.action;
+        result.insnsExecuted += r.insnsExecuted;
+    }
+    return result;
+}
+
 std::shared_ptr<const CompiledPolicy>
 CompiledPolicy::compile(const seccomp::Profile &profile,
                         seccomp::DispatchShape shape)
@@ -105,13 +117,8 @@ DracoSoftwareChecker::check(const os::SyscallRequest &req)
     SwCheckOutcome out;
 
     auto runFilter = [&] {
-        os::SeccompData data = req.toSeccompData();
-        seccomp::BpfResult result{};
-        for (unsigned copy = 0; copy < _filterCopies; ++copy) {
-            seccomp::BpfResult r = _policy->filter.run(data);
-            result.action = r.action; // identical copies agree
-            result.insnsExecuted += r.insnsExecuted;
-        }
+        seccomp::BpfResult result =
+            _policy->runFilter(req.toSeccompData(), _filterCopies);
         ++_stats.filterRuns;
         _stats.filterInsns += result.insnsExecuted;
         out.filterInsns = result.insnsExecuted;
@@ -154,7 +161,6 @@ DracoSoftwareChecker::check(const os::SyscallRequest &req)
     std::copy(req.args.begin(), req.args.end(), args.begin());
     ArgKey key(entry->bitmask, args);
     out.hashedBytes = key.size();
-    out.vatProbes = 2;
 
     if (_vat.lookupAt(entry->vatTable, key)) {
         ++_stats.vatHits;
@@ -175,26 +181,6 @@ DracoSoftwareChecker::check(const os::SyscallRequest &req)
         out.path = SwPath::FilterDenied;
     }
     return traced(out);
-}
-
-double
-swCheckCostNs(const SwCheckOutcome &outcome, const os::KernelCosts &costs,
-              unsigned filterCopies)
-{
-    double ns = costs.dracoSptLookupNs;
-    if (outcome.hashedBytes > 0) {
-        ns += 2 * (costs.dracoHashFixedNs +
-                   costs.dracoHashPerByteNs * outcome.hashedBytes);
-        ns += outcome.vatProbes * costs.dracoVatProbeNs;
-    }
-    if (outcome.filterInsns > 0) {
-        // Entry overhead applies once per attached filter copy.
-        ns += filterCopies * costs.seccompEntryNs +
-              outcome.filterInsns * costs.bpfInsnNs;
-    }
-    if (outcome.vatInserted)
-        ns += costs.dracoVatInsertNs;
-    return ns;
 }
 
 void

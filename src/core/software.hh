@@ -9,9 +9,9 @@
  * success — caches the validated set in the VAT. Profiles are
  * stateless, so a past validation never needs repeating (§V).
  *
- * The checker reports *what happened* (paths, probes, hashed bytes,
- * executed filter instructions); the sim module prices those events
- * using KernelCosts.
+ * The checker reports *what happened* (path, hashed key bytes,
+ * executed filter instructions) and prices nothing; sim/pricer.cc
+ * prices those events. This is draco_check, which dracod links.
  */
 
 #ifndef DRACO_CORE_SOFTWARE_HH
@@ -24,7 +24,6 @@
 
 #include "core/checkspec.hh"
 #include "core/vat.hh"
-#include "os/kernelcosts.hh"
 #include "seccomp/filter_builder.hh"
 #include "seccomp/profile.hh"
 
@@ -43,7 +42,6 @@ struct SwCheckOutcome {
     bool allowed = false;
     SwPath path = SwPath::FilterDenied;
     unsigned hashedBytes = 0;  ///< Key bytes each hash function consumed.
-    unsigned vatProbes = 0;    ///< Cuckoo-way probes performed (0 or 2).
     uint64_t filterInsns = 0;  ///< BPF instructions executed (all copies).
     bool vatInserted = false;  ///< A new set was cached.
     bool vatEvicted = false;   ///< Insertion displaced a victim.
@@ -63,24 +61,6 @@ struct SwCheckStats {
 /** Export a software-checker counter block under @p prefix. */
 void exportStats(const SwCheckStats &stats, MetricRegistry &registry,
                  const std::string &prefix);
-
-/**
- * Price one software-Draco check in nanoseconds under @p costs: the
- * SPT indexed lookup, two CRC-64 hashes plus the cuckoo-way probes when
- * arguments were hashed, and the Seccomp entry plus per-instruction
- * cost when the fallback filter ran. This is the single §V-C cost
- * model — the simulator's pricer and the serve subsystem's shard
- * accounting both use it, so a check is priced identically wherever it
- * executes.
- *
- * @param outcome What the check did.
- * @param costs Kernel cost preset.
- * @param filterCopies Attached filter count (entry cost applies per
- *        copy).
- */
-double swCheckCostNs(const SwCheckOutcome &outcome,
-                     const os::KernelCosts &costs,
-                     unsigned filterCopies = 1);
 
 /**
  * One entry of the dense software SPT (§V-A): the Valid bit, the
@@ -130,6 +110,14 @@ struct CompiledPolicy {
     {
         return sid < spt.size() && spt[sid].valid ? &spt[sid] : nullptr;
     }
+
+    /**
+     * Run the fallback filter once per attached copy (2 model
+     * syscall-complete-2x, §IV-A). @return The copies' agreed action
+     * and the instructions all copies executed.
+     */
+    seccomp::BpfResult runFilter(const os::SeccompData &data,
+                                 unsigned copies) const;
 
     /** Compile @p profile into a shareable policy. */
     static std::shared_ptr<const CompiledPolicy> compile(

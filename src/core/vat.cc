@@ -1,23 +1,12 @@
 #include "core/vat.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "hash/crc64.hh"
 #include "support/logging.hh"
 
 namespace draco::core {
-
-namespace {
-
-/**
- * Global bump allocator for table base addresses so that distinct VAT
- * instances (distinct processes) never alias in the cache model.
- */
-std::atomic<uint64_t> g_nextVatBase{0x600000000000ULL};
-
-} // namespace
 
 uint64_t
 vatHash(CuckooWay way, const ArgKey &key)
@@ -39,7 +28,7 @@ Vat::makeTable(uint16_t sid, uint64_t bitmask, size_t estimated_sets)
     unsigned keyBytes = static_cast<unsigned>(std::popcount(bitmask));
     // One entry: stored key rounded to 8 bytes, plus valid/metadata word.
     size_t entryBytes = ((keyBytes + 7) / 8) * 8 + 8;
-    return Table{sid, bitmask, 0, entryBytes, VatCuckoo(buckets, {}, {})};
+    return Table{sid, bitmask, entryBytes, VatCuckoo(buckets, {}, {})};
 }
 
 void
@@ -64,10 +53,7 @@ Vat::install(Table table)
 void
 Vat::configure(uint16_t sid, uint64_t bitmask, size_t estimated_sets)
 {
-    Table table = makeTable(sid, bitmask, estimated_sets);
-    table.baseAddr = g_nextVatBase.fetch_add(table.regionBytes(),
-                                             std::memory_order_relaxed);
-    install(std::move(table));
+    install(makeTable(sid, bitmask, estimated_sets));
 }
 
 void
@@ -78,21 +64,8 @@ Vat::configure(const std::vector<CheckSpec> &specs)
     _tables.reserve(_tables.size() + specs.size());
     if (specs.back().sid >= _index.size())
         _index.resize(size_t{specs.back().sid} + 1, kNoTable);
-    uint64_t regionBytes = 0;
-    for (const CheckSpec &spec : specs) {
-        Table table = makeTable(spec.sid, spec.bitmask, spec.estimatedSets);
-        regionBytes += table.regionBytes();
-        install(std::move(table));
-    }
-    // One bump of the shared counter for the whole region, split in
-    // spec order: the addresses consecutive per-table bumps would give.
-    uint64_t base = g_nextVatBase.fetch_add(regionBytes,
-                                            std::memory_order_relaxed);
-    for (const CheckSpec &spec : specs) {
-        Table &table = *tableFor(spec.sid);
-        table.baseAddr = base;
-        base += table.regionBytes();
-    }
+    for (const CheckSpec &spec : specs)
+        install(makeTable(spec.sid, spec.bitmask, spec.estimatedSets));
 }
 
 const Vat::Table *
@@ -188,18 +161,6 @@ Vat::slotContents(uint16_t sid, const VatToken &token) const
     return *stored;
 }
 
-uint64_t
-Vat::entryAddress(uint16_t sid, const VatToken &token) const
-{
-    const Table *table = tableFor(sid);
-    if (!table)
-        panic("Vat::entryAddress: sid %u not configured", sid);
-    uint64_t buckets = table->cuckoo.buckets();
-    uint64_t slot = static_cast<uint64_t>(token.way) * buckets +
-        (token.hash & (buckets - 1));
-    return table->baseAddr + slot * table->entryBytes;
-}
-
 size_t
 Vat::footprintBytes() const
 {
@@ -221,6 +182,13 @@ Vat::buckets(uint16_t sid) const
 {
     const Table *table = tableFor(sid);
     return table ? table->cuckoo.buckets() : 0;
+}
+
+size_t
+Vat::entryBytes(uint16_t sid) const
+{
+    const Table *table = tableFor(sid);
+    return table ? table->entryBytes : 0;
 }
 
 void

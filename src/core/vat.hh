@@ -7,10 +7,11 @@
  * been validated by the Seccomp filter. Lookups hash the Argument-
  * Bitmask-selected bytes with CRC-64 ECMA (way 0) and CRC-64 ¬ECMA
  * (way 1) and probe both ways; both implementations of Draco consult
- * it, and the hardware implementation additionally addresses it by
- * *location* (base + hash) when preloading the SLB. Tables are sized at
- * twice the estimated argument-set count, and a bounded displacement
- * chain on insert evicts one entry when full.
+ * it. Tables are sized at twice the estimated argument-set count, and a
+ * bounded displacement chain on insert evicts one entry when full.
+ *
+ * The VAT holds no addresses: the hardware model's HwProcessContext
+ * assigns the ones its SLB preload reads by location (§VI-B).
  *
  * Tables live in one vector in ascending sid order with a dense
  * sid → position index beside it, so resolving a sid costs one load
@@ -77,9 +78,7 @@ class Vat
     Vat() = default;
 
     /**
-     * Create (or reset) the table for @p sid. Each call takes a fresh
-     * base address region, so configuring in ascending sid order
-     * reproduces the same addresses run to run.
+     * Create (or reset) the table for @p sid.
      *
      * @param sid System call ID.
      * @param bitmask Argument Bitmask; must be nonzero (ID-only syscalls
@@ -93,10 +92,7 @@ class Vat
     /**
      * Configure one table per entry of @p specs, which must be
      * argument-checking and in ascending sid order — on an empty Vat,
-     * specs[k]'s table lands at TableIndex k. The tables' regions are
-     * taken with one bump of the shared address counter and laid out
-     * exactly as consecutive per-table configure() calls would lay
-     * them out.
+     * specs[k]'s table lands at TableIndex k.
      */
     void configure(const std::vector<CheckSpec> &specs);
 
@@ -147,9 +143,6 @@ class Vat
     std::optional<ArgKey> slotContents(uint16_t sid,
                                        const VatToken &token) const;
 
-    /** @return Memory address of the slot @p token points at. */
-    uint64_t entryAddress(uint16_t sid, const VatToken &token) const;
-
     /** @return Total bytes of all tables (the §XI-C footprint metric). */
     size_t footprintBytes() const;
 
@@ -161,6 +154,9 @@ class Vat
 
     /** @return Slots per way of @p sid's table (0 if unconfigured). */
     size_t buckets(uint16_t sid) const;
+
+    /** @return Bytes of one slot of @p sid's table (0 if unconfigured). */
+    size_t entryBytes(uint16_t sid) const;
 
     /** @return Cumulative insert-pressure evictions across tables. */
     uint64_t evictions() const { return _evictions; }
@@ -215,19 +211,11 @@ class Vat
     struct Table {
         uint16_t sid;
         uint64_t bitmask;
-        uint64_t baseAddr;
         size_t entryBytes;
         VatCuckoo cuckoo;
-
-        /** @return Bytes of address space the table takes (whole pages). */
-        uint64_t
-        regionBytes() const
-        {
-            return (cuckoo.capacity() * entryBytes + 4095) / 4096 * 4096;
-        }
     };
 
-    /** @return @p sid's empty table, with no base address yet. */
+    /** @return @p sid's empty table. */
     static Table makeTable(uint16_t sid, uint64_t bitmask,
                            size_t estimated_sets);
 

@@ -224,9 +224,11 @@ ServeObs::exportMetrics(MetricRegistry &registry,
     for (unsigned shard = 0; shard <= _options.shards; ++shard) {
         // Index _options.shards is the all-shard merge.
         const bool all = shard == _options.shards;
-        const std::string sp = MetricRegistry::join(
-            prefix + ".stages",
-            all ? std::string("all") : "s" + std::to_string(shard));
+        std::string group = all ? "all" : "s";
+        if (!all)
+            group += std::to_string(shard);
+        const std::string sp =
+            MetricRegistry::join(prefix + ".stages", group);
         for (size_t i = 0; i < kStageCount; ++i) {
             const Stage stage = static_cast<Stage>(i);
             MergedCell cell(_options);

@@ -14,6 +14,21 @@ namespace draco::serve {
 
 namespace {
 
+/**
+ * Staged-output cap per connection. A client that stops reading
+ * while replies accumulate beyond this is treated as dead (the
+ * connection is torn down, output discarded) so one stalled peer
+ * cannot pin unbounded memory.
+ */
+constexpr size_t kMaxOutputBytes = 16u << 20;
+
+/**
+ * After stop(), draining connections get this long to accept their
+ * remaining replies before undeliverable output is dropped; keeps
+ * shutdown bounded when a client never reads.
+ */
+constexpr unsigned kDrainGraceMs = 5000;
+
 ServerOptions
 unixOnly(std::string path)
 {
@@ -139,8 +154,8 @@ SocketServer::start()
         return false;
     }
     if (!_options.socketPath.empty()) {
-        _unixListenFd = listenEndpoint(
-            Endpoint::unix_(_options.socketPath), _options.backlog);
+        _unixListenFd =
+            listenEndpoint(Endpoint::unix_(_options.socketPath));
         if (_unixListenFd < 0)
             return false;
         support::setNonBlocking(_unixListenFd);
@@ -148,7 +163,7 @@ SocketServer::start()
     if (!_options.tcpAddress.empty()) {
         std::optional<Endpoint> ep =
             Endpoint::parseTcp(_options.tcpAddress);
-        int fd = ep ? listenEndpoint(*ep, _options.backlog) : -1;
+        int fd = ep ? listenEndpoint(*ep) : -1;
         if (fd < 0) {
             if (!ep)
                 warn("dracod: bad TCP listen address: %s",
@@ -167,7 +182,7 @@ SocketServer::start()
     if (!_options.metricsAddress.empty()) {
         std::optional<Endpoint> ep =
             Endpoint::parseTcp(_options.metricsAddress);
-        int fd = ep ? listenEndpoint(*ep, _options.backlog) : -1;
+        int fd = ep ? listenEndpoint(*ep) : -1;
         if (fd < 0) {
             if (!ep)
                 warn("dracod: bad metrics listen address: %s",
@@ -191,7 +206,6 @@ SocketServer::start()
         obsOptions.loops = _options.eventThreads;
         obsOptions.shards = _service.shards();
         obsOptions.slowUs = _options.slowUs;
-        obsOptions.slowCapacity = _options.slowCapacity;
         _obs = std::make_unique<obs::ServeObs>(obsOptions);
     }
 
@@ -294,7 +308,7 @@ SocketServer::loopMain(size_t index)
 
         if (stopping &&
             std::chrono::steady_clock::now() - stopSeen >
-                std::chrono::milliseconds(_options.drainGraceMs)) {
+                std::chrono::milliseconds(kDrainGraceMs)) {
             for (auto &conn : loop.conns)
                 if (conn->outPos < conn->outBuf.size())
                     beginDrain(loop, conn.get(), true);
@@ -387,11 +401,11 @@ SocketServer::pumpReplies(Loop &loop)
         const size_t start = wire::beginFrame(conn->outBuf);
         wire::encode(conn->outBuf, pending->reply);
         wire::endFrame(conn->outBuf, start);
-        if (conn->outBuf.size() - conn->outPos > _options.maxOutputBytes) {
+        if (conn->outBuf.size() - conn->outPos > kMaxOutputBytes) {
             logWarnEvery("serve.backlog", 1000,
                          "dracod: connection output backlog over %zu "
                          "bytes, dropping connection",
-                         _options.maxOutputBytes);
+                         kMaxOutputBytes);
             if (pending->hasRec && _obs)
                 _obs->recordDropped(loop.index, 1);
             beginDrain(loop, conn, true);
@@ -622,11 +636,11 @@ SocketServer::sendControl(Loop &loop, Conn *conn,
     if (conn->discardOutput)
         return;
     if (conn->outBuf.size() - conn->outPos + payload.size() + 4 >
-        _options.maxOutputBytes) {
+        kMaxOutputBytes) {
         logWarnEvery("serve.backlog", 1000,
                      "dracod: connection output backlog over %zu "
                      "bytes, dropping connection",
-                     _options.maxOutputBytes);
+                     kMaxOutputBytes);
         beginDrain(loop, conn, true);
         return;
     }

@@ -16,6 +16,9 @@ namespace draco::serve {
 
 namespace {
 
+/** listen(2) backlog for every listener. */
+constexpr int kListenBacklog = 128;
+
 /** Fill @p addr with @p path; false when it does not fit sun_path. */
 bool
 makeUnixAddress(const std::string &path, sockaddr_un &addr)
@@ -29,7 +32,7 @@ makeUnixAddress(const std::string &path, sockaddr_un &addr)
 }
 
 int
-listenUnix(const std::string &path, int backlog)
+listenUnix(const std::string &path)
 {
     sockaddr_un addr;
     if (!makeUnixAddress(path, addr)) {
@@ -43,7 +46,7 @@ listenUnix(const std::string &path, int backlog)
     }
     ::unlink(path.c_str());
     if (::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) < 0 ||
-        ::listen(fd, backlog) < 0) {
+        ::listen(fd, kListenBacklog) < 0) {
         warn("serve: bind/listen %s: %s", path.c_str(),
              std::strerror(errno));
         ::close(fd);
@@ -94,7 +97,7 @@ resolve(const std::string &host, uint16_t port, bool passive)
 }
 
 int
-listenTcp(const std::string &host, uint16_t port, int backlog)
+listenTcp(const std::string &host, uint16_t port)
 {
     addrinfo *addrs = resolve(host, port, true);
     if (!addrs)
@@ -108,7 +111,7 @@ listenTcp(const std::string &host, uint16_t port, int backlog)
         int one = 1;
         ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
         if (::bind(fd, ai->ai_addr, ai->ai_addrlen) == 0 &&
-            ::listen(fd, backlog) == 0)
+            ::listen(fd, kListenBacklog) == 0)
             break;
         ::close(fd);
         fd = -1;
@@ -194,11 +197,11 @@ Endpoint::describe() const
 }
 
 int
-listenEndpoint(const Endpoint &endpoint, int backlog)
+listenEndpoint(const Endpoint &endpoint)
 {
     return endpoint.kind == Endpoint::Kind::Unix
-               ? listenUnix(endpoint.path, backlog)
-               : listenTcp(endpoint.host, endpoint.port, backlog);
+               ? listenUnix(endpoint.path)
+               : listenTcp(endpoint.host, endpoint.port);
 }
 
 int

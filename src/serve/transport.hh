@@ -57,7 +57,7 @@ struct Endpoint {
  *
  * @return The listening fd, or -1 with a warning.
  */
-int listenEndpoint(const Endpoint &endpoint, int backlog = 128);
+int listenEndpoint(const Endpoint &endpoint);
 
 /**
  * Connect a stream socket to @p endpoint (blocking connect).

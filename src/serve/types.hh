@@ -158,13 +158,6 @@ struct ServiceOptions {
      * slot, which only its shard's drain touches: no lock, no lookup.
      */
     lifecycle::SnapshotStore *snapshotStore = nullptr;
-
-    /**
-     * Most tenants exportMetrics() emits per-tenant counter blocks
-     * for — at fleet scale a million tenants would swamp the JSON;
-     * `<prefix>.tenants.exported` records the cap applied.
-     */
-    uint32_t tenantMetricsLimit = 1024;
 };
 
 /** Point-in-time service-wide counters (the control-plane stats op). */

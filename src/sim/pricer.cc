@@ -29,6 +29,33 @@ dispatchToHeadNs(Rng &rng)
     return static_cast<double>(ahead) / kAvgIpc * kCycleNs;
 }
 
+/**
+ * Price one software-Draco check in nanoseconds under @p costs (the
+ * §V-C cost model): the SPT indexed lookup, two CRC-64 hashes and two
+ * cuckoo-way probes when arguments were hashed, and the Seccomp entry
+ * (once per attached filter copy) plus per-instruction cost when the
+ * fallback filter ran.
+ */
+double
+swCheckCostNs(const core::SwCheckOutcome &outcome,
+              const os::KernelCosts &costs, unsigned filterCopies)
+{
+    double ns = costs.dracoSptLookupNs;
+    if (outcome.hashedBytes > 0) {
+        ns += 2 * (costs.dracoHashFixedNs +
+                   costs.dracoHashPerByteNs * outcome.hashedBytes);
+        ns += 2 * costs.dracoVatProbeNs;
+    }
+    if (outcome.filterInsns > 0) {
+        // Entry overhead applies once per attached filter copy.
+        ns += filterCopies * costs.seccompEntryNs +
+              outcome.filterInsns * costs.bpfInsnNs;
+    }
+    if (outcome.vatInserted)
+        ns += costs.dracoVatInsertNs;
+    return ns;
+}
+
 } // namespace
 
 MechanismPricer::MechanismPricer(Mechanism mechanism,
@@ -164,8 +191,7 @@ MechanismPricer::price(const workload::TraceEvent &event,
             price.flow = obs::FlowCode::Denied;
             break;
         }
-        price.checkNs +=
-            core::swCheckCostNs(out, _costs, _filterCopies);
+        price.checkNs += swCheckCostNs(out, _costs, _filterCopies);
         price.filterInsns += out.filterInsns;
         break;
       }

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/hw_engine.hh"
 #include "seccomp/profile_gen.hh"
 #include "seccomp/profiles_builtin.hh"
@@ -401,6 +404,121 @@ TEST(HwEngine, VatSharedAcrossEngineInstances)
     EXPECT_TRUE(out.allowed);
     EXPECT_FALSE(out.filterRun) << "VAT entry should have been reused";
     EXPECT_EQ(out.flow, HwFlow::F6);
+}
+
+/** @return The values 0 .. @p count - 1. */
+std::vector<uint64_t>
+upTo(unsigned count)
+{
+    std::vector<uint64_t> values(count);
+    for (unsigned v = 0; v < count; ++v)
+        values[v] = v;
+    return values;
+}
+
+/**
+ * @return A profile that checks argument 0 of each (sid, n) pair
+ *         against n values, so the sid's VAT table holds n sets.
+ */
+seccomp::Profile
+valuesProfile(std::initializer_list<std::pair<uint16_t, unsigned>> rules)
+{
+    seccomp::Profile p("values");
+    for (const auto &[sid, count] : rules)
+        p.allowArgValues(sid, 0, upTo(count));
+    return p;
+}
+
+TEST(HwProcessContext, EntryAddressesDistinctAndAligned)
+{
+    HwProcessContext proc(valuesProfile({{os::sc::read, 8}}));
+    const uint16_t sid = os::sc::read;
+    uint64_t a1 = proc.entryAddress(sid, VatToken{CuckooWay::H1, 0});
+    uint64_t a2 = proc.entryAddress(sid, VatToken{CuckooWay::H1, 1});
+    uint64_t a3 = proc.entryAddress(sid, VatToken{CuckooWay::H2, 0});
+    EXPECT_NE(a1, a2);
+    EXPECT_NE(a1, a3);
+    EXPECT_NE(a2, a3);
+}
+
+TEST(HwProcessContext, AddressStableForSameToken)
+{
+    HwProcessContext proc(valuesProfile({{os::sc::poll, 8}}));
+    VatToken token{CuckooWay::H2, 98765};
+    EXPECT_EQ(proc.entryAddress(os::sc::poll, token),
+              proc.entryAddress(os::sc::poll, token));
+}
+
+TEST(HwProcessContext, TablesHaveDistinctAddressRegions)
+{
+    HwProcessContext proc(
+        valuesProfile({{os::sc::read, 64}, {os::sc::write, 64}}));
+    uint64_t last0 =
+        proc.entryAddress(os::sc::read, VatToken{CuckooWay::H2, 63});
+    uint64_t first1 =
+        proc.entryAddress(os::sc::write, VatToken{CuckooWay::H1, 0});
+    EXPECT_NE(last0 / 4096, first1 / 4096);
+}
+
+TEST(HwProcessContext, ConfigureSpecsLaysOutLikePerTableConfigure)
+{
+    // Mixed key widths and set estimates, so the tables' page-rounded
+    // regions differ in size.
+    seccomp::Profile profile("layout");
+    profile.allowArgValues(os::sc::read, 0, upTo(4));
+    profile.allowArgValues(os::sc::close, 0, upTo(1));
+    profile.allowArgValues(os::sc::mmap, 1, upTo(20));
+    profile.allowArgValues(os::sc::mmap, 2, upTo(10));
+    profile.allowArgValues(os::sc::mmap, 3, upTo(10));
+    profile.allowTuple(os::sc::fcntl, {3, 1, 0, 0, 0, 0});
+    profile.allowArgValues(os::sc::openat, 0, upTo(8));
+    profile.allowArgValues(os::sc::openat, 2, upTo(8));
+    const std::vector<CheckSpec> specs =
+        CompiledPolicy::compile(profile)->argSpecs;
+    ASSERT_EQ(specs.size(), 5u);
+
+    // The reference: one table configured at a time, each taking whole
+    // pages where the previous one ended, in table order.
+    HwProcessContext proc(profile);
+    Vat perTable;
+    uint64_t offset = 0;
+    for (const CheckSpec &spec : specs) {
+        perTable.configure(spec.sid, spec.bitmask, spec.estimatedSets);
+        EXPECT_EQ(proc.vat().tableIndex(spec.sid),
+                  perTable.tableIndex(spec.sid));
+        EXPECT_EQ(proc.vat().buckets(spec.sid), perTable.buckets(spec.sid));
+        const uint64_t buckets = perTable.buckets(spec.sid);
+        const uint64_t entryBytes = perTable.entryBytes(spec.sid);
+        for (const VatToken &token :
+             {VatToken{CuckooWay::H1, 0}, VatToken{CuckooWay::H2, 5},
+              VatToken{CuckooWay::H2, ~0ULL}}) {
+            uint64_t slot = static_cast<uint64_t>(token.way) * buckets +
+                (token.hash & (buckets - 1));
+            EXPECT_EQ(proc.entryAddress(spec.sid, token) -
+                          proc.vatRegionBegin(),
+                      offset + slot * entryBytes)
+                << "sid " << spec.sid;
+        }
+        offset += (2 * buckets * entryBytes + 4095) / 4096 * 4096;
+    }
+    EXPECT_EQ(proc.vatRegionEnd() - proc.vatRegionBegin(), offset);
+}
+
+TEST(HwProcessContext, SoftwareCheckersDoNotMoveModelAddresses)
+{
+    // Modeled VAT addresses belong to the hardware model: building
+    // software checkers, as the service does on every restore, takes
+    // none, so the next context's region starts where the last ended.
+    HwProcessContext a(readProfile());
+    auto policy = CompiledPolicy::compile(readProfile());
+    std::vector<std::unique_ptr<DracoSoftwareChecker>> checkers;
+    for (int i = 0; i < 100; ++i) {
+        checkers.push_back(std::make_unique<DracoSoftwareChecker>(policy));
+        ASSERT_EQ(checkers.back()->vat().tableCount(), 1u);
+    }
+    HwProcessContext b(readProfile());
+    EXPECT_GT(a.vatRegionEnd(), a.vatRegionBegin());
+    EXPECT_EQ(b.vatRegionBegin(), a.vatRegionEnd());
 }
 
 /** Hardware Draco must agree with the profile on arbitrary streams. */

@@ -39,7 +39,7 @@ TEST(DracoSw, IdOnlyPathAllowsImmediately)
     auto out = draco.check(request(os::sc::getpid));
     EXPECT_TRUE(out.allowed);
     EXPECT_EQ(out.path, SwPath::SptAllowAll);
-    EXPECT_EQ(out.vatProbes, 0u);
+    EXPECT_EQ(out.hashedBytes, 0u);
     EXPECT_EQ(out.filterInsns, 0u);
 }
 
@@ -57,7 +57,6 @@ TEST(DracoSw, FirstArgCheckRunsFilterThenCaches)
     EXPECT_EQ(second.path, SwPath::VatHit);
     EXPECT_EQ(second.filterInsns, 0u);
     EXPECT_FALSE(second.vatInserted);
-    EXPECT_EQ(second.vatProbes, 2u);
     EXPECT_EQ(second.hashedBytes, 16u); // fd + count, 8B each
 }
 
@@ -88,7 +87,7 @@ TEST(DracoSw, SidPastTheSptTakesTheFilterPath)
     EXPECT_FALSE(out.allowed);
     EXPECT_EQ(out.path, SwPath::FilterDenied);
     EXPECT_GT(out.filterInsns, 0u);
-    EXPECT_EQ(out.vatProbes, 0u);
+    EXPECT_EQ(out.hashedBytes, 0u);
 }
 
 TEST(DracoSw, CompiledPolicyLaysOutSptAndVat)

@@ -85,36 +85,6 @@ TEST(Vat, SlotContentsEmptyWhenUnoccupied)
         vat.slotContents(0, VatToken{CuckooWay::H1, 12345}).has_value());
 }
 
-TEST(Vat, EntryAddressesDistinctAndAligned)
-{
-    Vat vat;
-    vat.configure(0, kReadMask, 8);
-    uint64_t a1 = vat.entryAddress(0, VatToken{CuckooWay::H1, 0});
-    uint64_t a2 = vat.entryAddress(0, VatToken{CuckooWay::H1, 1});
-    uint64_t a3 = vat.entryAddress(0, VatToken{CuckooWay::H2, 0});
-    EXPECT_NE(a1, a2);
-    EXPECT_NE(a1, a3);
-    EXPECT_NE(a2, a3);
-}
-
-TEST(Vat, AddressStableForSameToken)
-{
-    Vat vat;
-    vat.configure(7, kReadMask, 8);
-    VatToken token{CuckooWay::H2, 98765};
-    EXPECT_EQ(vat.entryAddress(7, token), vat.entryAddress(7, token));
-}
-
-TEST(Vat, TablesHaveDistinctAddressRegions)
-{
-    Vat vat;
-    vat.configure(0, kReadMask, 64);
-    vat.configure(1, kReadMask, 64);
-    uint64_t last0 = vat.entryAddress(0, VatToken{CuckooWay::H2, 63});
-    uint64_t first1 = vat.entryAddress(1, VatToken{CuckooWay::H1, 0});
-    EXPECT_NE(last0 / 4096, first1 / 4096);
-}
-
 TEST(Vat, EraseRemovesEntry)
 {
     Vat vat;
@@ -247,40 +217,6 @@ TEST(Vat, RandomizedInsertLookupProperty)
     EXPECT_EQ(vat.evictions(), 0u);
     for (const auto &key : keys)
         EXPECT_TRUE(vat.lookup(0, key).has_value());
-}
-
-TEST(Vat, ConfigureSpecsLaysOutLikePerTableConfigure)
-{
-    // Mixed key widths and set estimates, so the tables' page-rounded
-    // regions differ in size.
-    const std::vector<CheckSpec> specs = {
-        {0, kReadMask, 4},
-        {3, 0xffULL, 1},
-        {9, kReadMask, 300},
-        {40, ~0ULL >> 16, 2000},
-        {257, 0xff00ULL, 64},
-    };
-    Vat bulk;
-    bulk.configure(specs);
-    Vat perTable;
-    for (const CheckSpec &spec : specs)
-        perTable.configure(spec.sid, spec.bitmask, spec.estimatedSets);
-
-    const VatToken origin{CuckooWay::H1, 0};
-    const uint64_t bulkOrigin = bulk.entryAddress(specs[0].sid, origin);
-    const uint64_t perTableOrigin =
-        perTable.entryAddress(specs[0].sid, origin);
-    for (const CheckSpec &spec : specs) {
-        EXPECT_EQ(bulk.tableIndex(spec.sid), perTable.tableIndex(spec.sid));
-        EXPECT_EQ(bulk.buckets(spec.sid), perTable.buckets(spec.sid));
-        for (const VatToken &token :
-             {VatToken{CuckooWay::H1, 0}, VatToken{CuckooWay::H2, 5},
-              VatToken{CuckooWay::H2, ~0ULL}})
-            EXPECT_EQ(bulk.entryAddress(spec.sid, token) - bulkOrigin,
-                      perTable.entryAddress(spec.sid, token) -
-                          perTableOrigin)
-                << "sid " << spec.sid;
-    }
 }
 
 TEST(VatDeathTest, ConfigureWithoutBitmaskIsFatal)

@@ -363,8 +363,9 @@ TEST(HotSwap, SwapStormMatchesPerEpochReferenceEvaluation)
     CheckService service(options);
     std::vector<TenantId> ids;
     for (int t = 0; t < kTenants; ++t) {
-        ids.push_back(service.createTenant("t" + std::to_string(t),
-                                           profiles[0]));
+        std::string name = "t";
+        name += std::to_string(t);
+        ids.push_back(service.createTenant(name, profiles[0]));
         ASSERT_NE(ids.back(), kInvalidTenant);
     }
 
@@ -477,9 +478,11 @@ TEST(HotSwap, VerdictStreamIsShardCountInvariantUnderSwaps)
         options.shards = shards;
         CheckService service(options);
         std::vector<TenantId> ids;
-        for (int t = 0; t < kTenants; ++t)
-            ids.push_back(service.createTenant(
-                "t" + std::to_string(t), profiles[0]));
+        for (int t = 0; t < kTenants; ++t) {
+            std::string name = "t";
+            name += std::to_string(t);
+            ids.push_back(service.createTenant(name, profiles[0]));
+        }
 
         // One thread per tenant: concurrent across tenants, blocking
         // (ordered) within each — the dracoload closed loop in

@@ -57,7 +57,9 @@ makeTenants(size_t n)
         request(os::sc::openat), request(os::sc::clone, 0x01200011)};
     std::vector<TenantLoad> tenants(n);
     for (size_t t = 0; t < n; ++t) {
-        tenants[t].name = "t" + std::to_string(t);
+        std::string name = "t";
+        name += std::to_string(t);
+        tenants[t].name = std::move(name);
         for (size_t i = 0; i < 12 + 5 * t; ++i)
             tenants[t].reqs.push_back(calls[(i * (t + 1) + t) % 4]);
     }

@@ -144,8 +144,9 @@ runTraffic(const char *tag, bool obs, uint32_t slowUs = 0)
     constexpr unsigned kTenants = 4;
     constexpr uint32_t kBatch = 32;
     for (unsigned t = 0; t < kTenants; ++t) {
-        TenantId id = client->createTenant("t" + std::to_string(t),
-                                           "docker-default");
+        std::string name = "t";
+        name += std::to_string(t);
+        TenantId id = client->createTenant(name, "docker-default");
         EXPECT_NE(id, kInvalidTenant);
         const auto reqs = trafficMix(t + 1, 256);
         std::vector<CheckResponse> resps(kBatch);

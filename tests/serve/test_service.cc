@@ -193,9 +193,11 @@ TEST(CheckService, VerdictCountsIdenticalAtEveryShardCount)
                 options.maxBatch = maxBatch;
                 CheckService service(options);
                 std::vector<TenantId> ids;
-                for (unsigned t = 0; t < kTenants; ++t)
-                    ids.push_back(service.createTenant(
-                        "t" + std::to_string(t), testProfile()));
+                for (unsigned t = 0; t < kTenants; ++t) {
+                    std::string name = "t";
+                    name += std::to_string(t);
+                    ids.push_back(service.createTenant(name, testProfile()));
+                }
 
                 std::vector<std::vector<CheckResponse>> resps(kTenants);
                 std::vector<std::unique_ptr<Batch>> batches;
@@ -299,9 +301,11 @@ TEST(CheckService, StopWaitsOutCallerDrains)
     CheckService service(options);
     constexpr unsigned kThreads = 4;
     std::vector<TenantId> ids;
-    for (unsigned t = 0; t < kThreads; ++t)
-        ids.push_back(service.createTenant("t" + std::to_string(t),
-                                           testProfile()));
+    for (unsigned t = 0; t < kThreads; ++t) {
+        std::string name = "t";
+        name += std::to_string(t);
+        ids.push_back(service.createTenant(name, testProfile()));
+    }
 
     std::atomic<uint64_t> started{0};
     std::vector<uint64_t> verdicts(kThreads, 0);

@@ -90,8 +90,10 @@ report(const std::string &head, std::initializer_list<Field> fields,
 {
     std::string line = head;
     for (const Field &field : fields) {
-        line += " " + std::string(field.name) + "=" +
-                std::to_string(field.value);
+        line += ' ';
+        line += field.name;
+        line += '=';
+        line += std::to_string(field.value);
         if (field.json)
             registry.setCounter(prefix + "." + field.json, field.value);
     }
@@ -172,8 +174,11 @@ main(int argc, char **argv)
 
     uint64_t tenantCount = std::max<uint64_t>(1, flags.uintValue("tenants"));
     std::vector<loadgen::TenantLoad> tenants(tenantCount);
-    for (uint64_t i = 0; i < tenantCount; ++i)
-        tenants[i].name = "t" + std::to_string(i);
+    for (uint64_t i = 0; i < tenantCount; ++i) {
+        std::string name = "t";
+        name += std::to_string(i);
+        tenants[i].name = std::move(name);
+    }
 
     double zipfSkew = 0.0;
     if (!flags.str("zipf").empty()) {
