@@ -86,13 +86,6 @@ PolicyStore::hits() const
     return _hits;
 }
 
-uint64_t
-PolicyStore::compiles() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _byContentKey.size();
-}
-
 void
 PolicyStore::exportMetrics(MetricRegistry &registry,
                            const std::string &prefix) const
@@ -101,8 +94,6 @@ PolicyStore::exportMetrics(MetricRegistry &registry,
     registry.setCounter(MetricRegistry::join(prefix, "policies"),
                         _byContentKey.size());
     registry.setCounter(MetricRegistry::join(prefix, "hits"), _hits);
-    registry.setCounter(MetricRegistry::join(prefix, "compiles"),
-                        _byContentKey.size());
 }
 
 } // namespace draco::lifecycle

@@ -63,10 +63,7 @@ class PolicyStore
     /** @return Interns served by an existing entry. */
     uint64_t hits() const;
 
-    /** @return Interns that had to compile. */
-    uint64_t compiles() const;
-
-    /** Export `<prefix>.{policies,hits,compiles}`. */
+    /** Export `<prefix>.{policies,hits}`. */
     void exportMetrics(MetricRegistry &registry,
                        const std::string &prefix) const;
 

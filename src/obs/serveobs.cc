@@ -116,9 +116,8 @@ ServeObs::ServeObs(const ServeObsOptions &options)
             ps.hist.reserve(kStageCount);
             ps.sketch.reserve(kStageCount);
             for (size_t s = 0; s < kStageCount; ++s) {
-                ps.hist.emplace_back(0.0, _options.histHiUs,
-                                     _options.histBuckets);
-                ps.sketch.emplace_back(_options.sketchSamples);
+                ps.hist.emplace_back(0.0, kHistHiUs, kHistBuckets);
+                ps.sketch.emplace_back(kSketchSamples);
             }
         }
         _slots.push_back(std::move(slot));
@@ -206,7 +205,7 @@ ServeObs::slowRecords() const
 ServeObs::MergedCell
 ServeObs::mergeCell(unsigned shard, Stage stage) const
 {
-    MergedCell cell(_options);
+    MergedCell cell;
     const size_t idx = static_cast<size_t>(stage);
     for (const auto &slot : _slots) {
         std::lock_guard<std::mutex> lock(slot->mutex);
@@ -231,7 +230,7 @@ ServeObs::exportMetrics(MetricRegistry &registry,
             MetricRegistry::join(prefix + ".stages", group);
         for (size_t i = 0; i < kStageCount; ++i) {
             const Stage stage = static_cast<Stage>(i);
-            MergedCell cell(_options);
+            MergedCell cell;
             if (all) {
                 for (unsigned s = 0; s < _options.shards; ++s) {
                     MergedCell c = mergeCell(s, stage);

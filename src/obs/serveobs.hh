@@ -148,9 +148,6 @@ struct ServeObsOptions {
     unsigned shards = 1;      ///< service shard count (label space)
     uint32_t slowUs = 0;      ///< slow-capture threshold; 0 disables
     size_t slowCapacity = 256;    ///< slow ring size (newest kept)
-    size_t sketchSamples = 8192;  ///< BoundedSketch retention cap
-    double histHiUs = 100000.0;   ///< histogram range [0, hi) in us
-    size_t histBuckets = 200;     ///< linear bucket count
 };
 
 /**
@@ -229,6 +226,11 @@ class ServeObs
                                std::string &out);
 
   private:
+    static constexpr size_t kSketchSamples = 8192; ///< BoundedSketch cap
+    /** Stage histograms: [0, kHistHiUs) us in kHistBuckets linear bins. */
+    static constexpr double kHistHiUs = 100000.0;
+    static constexpr size_t kHistBuckets = 200;
+
     /** Per-shard instruments: [shard][stage] for hist and sketch. */
     struct PerShard {
         std::vector<Histogram> hist;      // kStageCount entries
@@ -247,8 +249,7 @@ class ServeObs
     struct MergedCell {
         Histogram hist;
         QuantileSketch sketch;
-        explicit MergedCell(const ServeObsOptions &o)
-            : hist(0.0, o.histHiUs, o.histBuckets) {}
+        MergedCell() : hist(0.0, kHistHiUs, kHistBuckets) {}
     };
 
     void captureSlow(const StageRecord &rec, double totalUs);

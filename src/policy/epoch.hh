@@ -121,8 +121,8 @@ class EpochSlot
  * Service-wide policy authority: owns the content-addressed
  * PolicyStore every epoch's compile is interned through, and the
  * `policy.*` counters the swap plane exports. All counters are
- * atomics, so both the quiesced and the live metric exporters may
- * read them.
+ * atomics, so the service's metric export may read them while
+ * traffic is in flight.
  */
 class EpochManager
 {

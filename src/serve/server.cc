@@ -541,10 +541,11 @@ SocketServer::handleHttp(Loop &loop, Conn *conn)
         response = obs::httpResponse(200, "text/plain", "ok\n");
     } else if (target == "/metrics") {
         response = obs::httpResponse(
-            200, "text/plain; version=0.0.4", metricsBody());
+            200, "text/plain; version=0.0.4",
+            _obs->renderPrometheus(liveMetrics()));
     } else if (target == "/statz") {
         response = obs::httpResponse(200, "application/json",
-                                     statzBody());
+                                     liveMetrics().toJson(true));
     } else if (target == "/slowz") {
         response = obs::httpResponse(200, "application/json",
                                      _obs->slowzJson());
@@ -562,50 +563,18 @@ SocketServer::handleHttp(Loop &loop, Conn *conn)
     beginDrain(loop, conn, false);
 }
 
-std::string
-SocketServer::metricsBody() const
+MetricRegistry
+SocketServer::liveMetrics() const
 {
     MetricRegistry registry;
-    _service.exportLiveMetrics(registry);
+    _service.exportMetrics(registry, "serve.live");
     registry.setCounter("serve.live.connections.accepted",
                         _accepted.load());
     registry.setCounter("serve.live.connections.reaped",
                         _reaped.load());
     registry.setGauge("serve.live.connections.active",
                       _active.load());
-    return _obs->renderPrometheus(registry);
-}
-
-std::string
-SocketServer::statzBody() const
-{
-    ServiceStatsSnapshot s;
-    _service.serviceStats(s);
-    MetricRegistry registry;
-    registry.setCounter("tenants", s.tenants);
-    registry.setCounter("resident", s.resident);
-    registry.setCounter("snapshotted", s.snapshotted);
-    registry.setCounter("evictions", s.evictions);
-    registry.setCounter("restores", s.restores);
-    registry.setCounter("restore_failures", s.restoreFailures);
-    registry.setCounter("snapshot_put_failures", s.snapshotPutFailures);
-    registry.setCounter("dedup_policies", s.dedupPolicies);
-    registry.setCounter("dedup_hits", s.dedupHits);
-    registry.setCounter("snapshot_bytes_written",
-                        s.snapshotBytesWritten);
-    registry.setCounter("snapshot_bytes_read", s.snapshotBytesRead);
-    registry.setCounter("store_bytes", s.storeBytes);
-    registry.setCounter("checks", s.checks);
-    registry.setCounter("rejects", s.rejects);
-    registry.setCounter("policy.swaps", s.policySwaps);
-    registry.setCounter("policy.swap_failures", s.policySwapFailures);
-    registry.setCounter("policy.stale_snapshot_discards",
-                        s.staleSnapshotDiscards);
-    registry.setCounter("policy.max_epoch", s.maxEpoch);
-    registry.setCounter("connections.accepted", _accepted.load());
-    registry.setCounter("connections.reaped", _reaped.load());
-    registry.setCounter("connections.active", _active.load());
-    return registry.toJson(true);
+    return registry;
 }
 
 bool

@@ -87,7 +87,8 @@ struct ServerOptions {
      * When set, the server owns an obs::ServeObs: every CheckBatch is
      * latency-stamped through the pipeline, and HTTP/1.0 GETs on this
      * listener serve /metrics (Prometheus text), /healthz, /statz
-     * (ServiceStats JSON), and /slowz (the slow-request ring).
+     * (the same service metrics as JSON), and /slowz (the
+     * slow-request ring).
      */
     std::string metricsAddress;
 
@@ -206,8 +207,12 @@ class SocketServer
     void readInput(Loop &loop, Conn *conn, std::vector<uint8_t> &chunk);
     void readHttp(Loop &loop, Conn *conn, std::vector<uint8_t> &chunk);
     void handleHttp(Loop &loop, Conn *conn);
-    std::string metricsBody() const;
-    std::string statzBody() const;
+    /**
+     * The one registry the metrics listener serves: the service's
+     * export under `serve.live` plus the connection counters.
+     * /metrics renders it as Prometheus text, /statz as JSON.
+     */
+    MetricRegistry liveMetrics() const;
     bool parseFrames(Loop &loop, Conn *conn);
     bool handleFrame(Loop &loop, Conn *conn,
                      std::span<const uint8_t> payload);

@@ -85,7 +85,7 @@ namespace {
 /**
  * Most tenants exportMetrics() emits per-tenant counter blocks for —
  * at fleet scale a million tenants would swamp the JSON;
- * `<prefix>.tenants.exported` records the cap applied.
+ * `<prefix>.tenants.exported` records how many it emitted.
  */
 constexpr uint32_t kTenantMetricsLimit = 1024;
 
@@ -304,11 +304,12 @@ CheckService::enqueue(Shard &shard, const Item &item, DrainOn drainOn)
 }
 
 void
-CheckService::releaseShard(Shard &shard)
+CheckService::releaseShard(Shard &shard, uint32_t checked)
 {
     bool wakeWorker;
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
+        shard.batchStat.add(checked);
         shard.busy = false;
         wakeWorker = !shard.queue.empty() || _stopping.load();
     }
@@ -382,8 +383,7 @@ CheckService::submitBatch(TenantId id, const os::SyscallRequest *reqs,
     item.rec = obsRec;
     const Admit admit = enqueue(shard, item, drainOn);
     if (admit == Admit::Claimed) {
-        process(shard, std::span<Item>(&item, 1), true);
-        releaseShard(shard);
+        releaseShard(shard, process(shard, std::span<Item>(&item, 1), true));
     } else if (admit == Admit::Shed) {
         t->inFlight.fetch_sub(count, std::memory_order_acq_rel);
         CheckStatus status = _stopping.load()
@@ -420,8 +420,8 @@ CheckService::snapshotTenant(const TenantState &t, TenantStats &out) const
     out.shard = t.shard;
     out.evicted = t.evicted.load();
     out.check = t.checker ? t.checker->stats() : t.frozenStats;
-    out.allowed = t.allowed;
-    out.denied = t.denied;
+    out.allowed = out.check.checks - out.check.denials;
+    out.denied = out.check.denials;
     out.rejects = t.rejects.load();
     out.epoch = t.epochs.epoch();
     out.swaps = t.swaps;
@@ -539,10 +539,12 @@ CheckService::shardLoop(size_t index)
     items.reserve(_options.maxBatch);
 
     bool held = false; // This thread set shard.busy.
+    uint32_t checked = 0; // By the drain this thread last ran.
     for (;;) {
         {
             std::unique_lock<std::mutex> lock(shard.mutex);
             if (held) {
+                shard.batchStat.add(checked);
                 shard.busy = false;
                 held = false;
             }
@@ -576,12 +578,12 @@ CheckService::shardLoop(size_t index)
             shard.busy = true;
             held = true;
         }
-        process(shard, items, false);
+        checked = process(shard, items, false);
         items.clear();
     }
 }
 
-void
+uint32_t
 CheckService::process(Shard &shard, std::span<Item> items,
                       bool inlineDrain)
 {
@@ -626,12 +628,7 @@ CheckService::process(Shard &shard, std::span<Item> items,
                     resp.path = static_cast<uint8_t>(out.path);
                     resp.retryAfterUs = 0;
                     resp.epoch = epochId;
-                    if (out.allowed) {
-                        ++t->allowed;
-                        ++allowed;
-                    } else {
-                        ++t->denied;
-                    }
+                    allowed += out.allowed;
                 }
                 requestsChecked += item.count;
                 if (item.rec) {
@@ -661,9 +658,10 @@ CheckService::process(Shard &shard, std::span<Item> items,
                 t->hasSnapshot = false;
                 shard.snapshotted.fetch_sub(1, std::memory_order_relaxed);
             }
-            // Admin eviction discards state for good: evicted tenants
-            // have always reported empty check stats.
-            t->frozenStats = {};
+            // Admin eviction discards the VAT for good; the counters
+            // stay, so the tenant keeps reporting what it checked.
+            if (t->checker)
+                t->frozenStats = t->checker->stats();
             t->checker.reset();
             break;
           case Op::Swap: {
@@ -701,7 +699,6 @@ CheckService::process(Shard &shard, std::span<Item> items,
     if (inlineDrain)
         bumpDrainCounter(shard.drainsInline, 1);
     bumpDrainCounter(shard.processed, requestsChecked);
-    shard.batchStat.add(requestsChecked);
     shard.lastBatch.store(requestsChecked, std::memory_order_relaxed);
     if (_shardResidentCap)
         enforceResidentCap(shard);
@@ -728,6 +725,7 @@ CheckService::process(Shard &shard, std::span<Item> items,
     for (const Item &item : items)
         item.batch->complete(itemRequests(item.count,
                                           item.op == Op::Check));
+    return requestsChecked;
 }
 
 void
@@ -917,13 +915,17 @@ CheckService::stop()
 
     // Deterministic teardown: with the workers joined, release the
     // remaining checkers in ascending tenant-id order so destruction
-    // (and anything it traces) is reproducible run to run.
+    // (and anything it traces) is reproducible run to run. Each
+    // tenant's counters outlive its checker, as on any other drop.
     uint32_t count = _tenantCount.load(std::memory_order_acquire);
     for (uint32_t i = 0; i < count; ++i) {
-        TenantState *t = _tenants[i].get();
-        if (t && t->checker)
-            t->checker.reset();
+        TenantState &t = *_tenants[i];
+        if (t.checker) {
+            t.frozenStats = t.checker->stats();
+            t.checker.reset();
+        }
     }
+    _stopped.store(true, std::memory_order_release);
 }
 
 uint64_t
@@ -1001,6 +1003,7 @@ void
 CheckService::exportMetrics(MetricRegistry &registry,
                             const std::string &prefix) const
 {
+    constexpr auto relaxed = std::memory_order_relaxed;
     auto name = [&](const std::string &metric) {
         return MetricRegistry::join(prefix, metric);
     };
@@ -1014,24 +1017,41 @@ CheckService::exportMetrics(MetricRegistry &registry,
     RunningStat depthStat;
 
     for (size_t i = 0; i < _shards.size(); ++i) {
-        const Shard &shard = *_shards[i];
-        checks += shard.processed.load();
-        drains += shard.drains.load();
-        drainsInline += shard.drainsInline.load();
-        queueFull += shard.queueFullRejects;
-        rejects += shard.rejects.load();
-        batchStat.merge(shard.batchStat);
-        depthStat.merge(shard.depthStat);
+        Shard &shard = *_shards[i];
+        uint64_t shardQueueFull;
+        uint32_t peakDepth;
+        {
+            // What enqueue() and a drain's release write under the
+            // mutex; the rest of the shard is read from its atomics.
+            std::lock_guard<std::mutex> lock(shard.mutex);
+            shardQueueFull = shard.queueFullRejects;
+            peakDepth = shard.peakDepth;
+            batchStat.merge(shard.batchStat);
+            depthStat.merge(shard.depthStat);
+        }
+        const uint64_t shardChecks = shard.processed.load(relaxed);
+        const uint64_t shardDrains = shard.drains.load(relaxed);
+        const uint64_t shardInline = shard.drainsInline.load(relaxed);
+        const uint64_t shardRejects = shard.rejects.load(relaxed);
+        checks += shardChecks;
+        drains += shardDrains;
+        drainsInline += shardInline;
+        queueFull += shardQueueFull;
+        rejects += shardRejects;
 
         std::string sp = name("shards.s" + std::to_string(i));
-        registry.setCounter(sp + ".checks", shard.processed.load());
-        registry.setCounter(sp + ".drains", shard.drains.load());
-        registry.setCounter(sp + ".drains_inline",
-                            shard.drainsInline.load());
-        registry.setCounter(sp + ".rejects", shard.rejects.load());
-        registry.setCounter(sp + ".rejects_queue_full",
-                            shard.queueFullRejects);
-        registry.setCounter(sp + ".peak_depth", shard.peakDepth);
+        registry.setCounter(sp + ".checks", shardChecks);
+        registry.setCounter(sp + ".drains", shardDrains);
+        registry.setCounter(sp + ".drains_inline", shardInline);
+        registry.setCounter(sp + ".rejects", shardRejects);
+        registry.setCounter(sp + ".rejects_queue_full", shardQueueFull);
+        registry.setCounter(sp + ".peak_depth", peakDepth);
+        registry.setGauge(sp + ".queue_depth", shard.depth.load(relaxed));
+        registry.setGauge(sp + ".last_batch",
+                          shard.lastBatch.load(relaxed));
+        registry.setGauge(sp + ".resident", shard.resident.load(relaxed));
+        registry.setGauge(sp + ".ewma_check_ns",
+                          shard.ewmaCheckNs.load(relaxed));
     }
 
     registry.setCounter(name("shard_count"), _shards.size());
@@ -1047,29 +1067,31 @@ CheckService::exportMetrics(MetricRegistry &registry,
     registry.setStat(name("batch_size"), batchStat);
     registry.setStat(name("queue_depth"), depthStat);
 
-    uint32_t count = _tenantCount.load(std::memory_order_acquire);
+    // A tenant's slot belongs to its shard's drain while the service
+    // runs; once stop() has joined the drains and frozen the counters,
+    // the slots read through snapshotTenant(), as tenantStats() does.
+    // Blocks are keyed by id: a name is client input, unique only
+    // among live tenants, and may sanitize to `count` or to another
+    // tenant's name.
+    const uint32_t count = _tenantCount.load(std::memory_order_acquire);
+    const uint32_t exported = _stopped.load(std::memory_order_acquire)
+        ? std::min(count, kTenantMetricsLimit)
+        : 0;
     registry.setCounter(name("tenants.count"), count);
-    uint32_t exported = std::min(count, kTenantMetricsLimit);
     registry.setCounter(name("tenants.exported"), exported);
     for (uint32_t i = 0; i < exported; ++i) {
-        const TenantState *t = _tenants[i].get();
-        if (!t)
-            continue;
-        std::string tp =
-            name("tenants." + MetricRegistry::sanitize(t->name));
-        registry.setCounter(tp + ".id", t->id);
-        registry.setCounter(tp + ".shard", t->shard);
-        registry.setCounter(tp + ".allowed", t->allowed);
-        registry.setCounter(tp + ".denied", t->denied);
-        registry.setCounter(tp + ".rejects", t->rejects.load());
-        registry.setCounter(tp + ".evicted", t->evicted.load() ? 1 : 0);
-        registry.setCounter(tp + ".epoch", t->epochs.epoch());
-        registry.setCounter(tp + ".swaps", t->swaps);
-        if (t->checker)
-            core::exportStats(t->checker->stats(), registry,
-                              tp + ".check");
-        else if (t->hasSnapshot)
-            core::exportStats(t->frozenStats, registry, tp + ".check");
+        TenantStats t;
+        snapshotTenant(*_tenants[i], t);
+        std::string tp = name("tenants.t" + std::to_string(t.id));
+        registry.setText(tp + ".name", t.name);
+        registry.setCounter(tp + ".shard", t.shard);
+        registry.setCounter(tp + ".allowed", t.allowed);
+        registry.setCounter(tp + ".denied", t.denied);
+        registry.setCounter(tp + ".rejects", t.rejects);
+        registry.setCounter(tp + ".evicted", t.evicted ? 1 : 0);
+        registry.setCounter(tp + ".epoch", t.epoch);
+        registry.setCounter(tp + ".swaps", t.swaps);
+        core::exportStats(t.check, registry, tp + ".check");
     }
 
     ServiceStatsSnapshot svc;
@@ -1089,8 +1111,8 @@ CheckService::exportMetrics(MetricRegistry &registry,
                         svc.snapshotBytesWritten);
     registry.setCounter(lp + ".snapshot_bytes_read",
                         svc.snapshotBytesRead);
+    registry.setCounter(lp + ".store_bytes", svc.storeBytes);
     if (lifecycleEnabled()) {
-        registry.setCounter(lp + ".store_bytes", svc.storeBytes);
         registry.setText(lp + ".store_kind",
                          _options.snapshotStore
                              ? _options.snapshotStore->kind()
@@ -1098,86 +1120,11 @@ CheckService::exportMetrics(MetricRegistry &registry,
     }
     _epochs.store().exportMetrics(registry, lp + ".dedup");
     registry.setGauge(lp + ".dedup.ratio",
-                      _epochs.store().size() > 0
+                      svc.dedupPolicies > 0
                           ? static_cast<double>(count) /
-                                static_cast<double>(
-                                    _epochs.store().size())
+                                static_cast<double>(svc.dedupPolicies)
                           : 0.0);
 
-    _epochs.exportMetrics(registry, name("policy"));
-}
-
-void
-CheckService::exportLiveMetrics(MetricRegistry &registry,
-                                const std::string &prefix) const
-{
-    auto name = [&](const std::string &metric) {
-        return MetricRegistry::join(prefix, metric);
-    };
-
-    uint64_t checks = 0;
-    uint64_t rejects = 0;
-    uint64_t drains = 0;
-    uint64_t drainsInline = 0;
-    for (size_t i = 0; i < _shards.size(); ++i) {
-        const Shard &shard = *_shards[i];
-        const uint64_t shardChecks =
-            shard.processed.load(std::memory_order_relaxed);
-        const uint64_t shardRejects =
-            shard.rejects.load(std::memory_order_relaxed);
-        const uint64_t shardDrains =
-            shard.drains.load(std::memory_order_relaxed);
-        const uint64_t shardDrainsInline =
-            shard.drainsInline.load(std::memory_order_relaxed);
-        checks += shardChecks;
-        rejects += shardRejects;
-        drains += shardDrains;
-        drainsInline += shardDrainsInline;
-
-        std::string sp = name("shards.s" + std::to_string(i));
-        registry.setCounter(sp + ".checks", shardChecks);
-        registry.setCounter(sp + ".rejects", shardRejects);
-        registry.setCounter(sp + ".drains", shardDrains);
-        registry.setCounter(sp + ".drains_inline", shardDrainsInline);
-        registry.setGauge(sp + ".queue_depth",
-                          shard.depth.load(std::memory_order_relaxed));
-        registry.setGauge(
-            sp + ".last_batch",
-            shard.lastBatch.load(std::memory_order_relaxed));
-        registry.setGauge(
-            sp + ".resident",
-            shard.resident.load(std::memory_order_relaxed));
-        registry.setGauge(
-            sp + ".ewma_check_ns",
-            shard.ewmaCheckNs.load(std::memory_order_relaxed));
-    }
-
-    registry.setCounter(name("shard_count"), _shards.size());
-    registry.setCounter(name("checks"), checks);
-    registry.setCounter(name("rejects"), rejects);
-    registry.setCounter(name("drains"), drains);
-    registry.setCounter(name("drains_inline"), drainsInline);
-
-    ServiceStatsSnapshot svc;
-    serviceStats(svc);
-    std::string vp = name("service");
-    registry.setCounter(vp + ".tenants", svc.tenants);
-    registry.setCounter(vp + ".resident", svc.resident);
-    registry.setCounter(vp + ".snapshotted", svc.snapshotted);
-    registry.setCounter(vp + ".evictions", svc.evictions);
-    registry.setCounter(vp + ".restores", svc.restores);
-    registry.setCounter(vp + ".restore_failures", svc.restoreFailures);
-    registry.setCounter(vp + ".snapshot_put_failures",
-                        svc.snapshotPutFailures);
-    registry.setCounter(vp + ".dedup_policies", svc.dedupPolicies);
-    registry.setCounter(vp + ".dedup_hits", svc.dedupHits);
-    registry.setCounter(vp + ".snapshot_bytes_written",
-                        svc.snapshotBytesWritten);
-    registry.setCounter(vp + ".snapshot_bytes_read",
-                        svc.snapshotBytesRead);
-    registry.setCounter(vp + ".store_bytes", svc.storeBytes);
-
-    // All-atomic, so the live scrape may export the swap plane too.
     _epochs.exportMetrics(registry, name("policy"));
 }
 

@@ -272,23 +272,16 @@ class CheckService
     void serviceStats(ServiceStatsSnapshot &out) const;
 
     /**
-     * Export the `serve.*` metric block under @p prefix: service totals,
-     * per-shard counters (`<prefix>.shards.s<i>.*`) and per-tenant
-     * counters (`<prefix>.tenants.<name>.*`). Call on a quiesced
-     * service (after stop(), or with no traffic in flight).
+     * Export the service's metric block under @p prefix: service
+     * totals, per-shard counters and gauges (`<prefix>.shards.s<i>.*`),
+     * the lifecycle and policy planes, and, once stop() has returned,
+     * per-tenant counters keyed by id (`<prefix>.tenants.t<id>.*`).
+     * Safe to call at any time, traffic in flight included: it reads
+     * the shards' atomics, copies their guarded fields under the shard
+     * mutex, and reads tenant slots only after the drains have joined.
      */
     void exportMetrics(MetricRegistry &registry,
                        const std::string &prefix = "serve") const;
-
-    /**
-     * Export a scrape-safe metric subset under @p prefix while traffic
-     * is in flight: unlike exportMetrics(), this reads only atomics
-     * and cross-thread mirrors, so the `/metrics` endpoint can call it
-     * on a live service without racing the shard drains.
-     */
-    void exportLiveMetrics(MetricRegistry &registry,
-                           const std::string &prefix = "serve.live")
-        const;
 
   private:
     /** What one queued item asks of the worker. */
@@ -340,10 +333,8 @@ class CheckService
         std::atomic<uint32_t> inFlight{0};
         std::atomic<uint64_t> rejects{0};
 
-        // Owned by the shard's drain (single writer).
-        uint64_t allowed = 0;
-        uint64_t denied = 0;
-        uint64_t swaps = 0; ///< Epochs published beyond the first.
+        /** Epochs published beyond the first (drain-owned). */
+        uint64_t swaps = 0;
 
         /**
          * Neighbours in the shard's resident list (kInvalidTenant at
@@ -361,7 +352,15 @@ class CheckService
          * and the tenant's current epoch names the policy.
          */
         std::unique_ptr<std::vector<uint8_t>> snapshot;
-        core::SwCheckStats frozenStats; ///< Stats while snapshotted.
+
+        /**
+         * The check counters while the tenant holds no checker: frozen
+         * whenever one is dropped (cap eviction, admin Evict, stop()),
+         * and carried into the next one a materialize builds. They are
+         * the tenant's only verdict counts: snapshotTenant() derives
+         * allowed and denied from them.
+         */
+        core::SwCheckStats frozenStats;
     };
 
     struct Item {
@@ -392,6 +391,13 @@ class CheckService
         uint32_t queuedRequests = 0;  ///< Requests in queue (guarded).
         uint64_t queueFullRejects = 0;///< Shed at capacity (guarded).
         RunningStat depthStat;        ///< Depth at enqueue (guarded).
+        uint32_t peakDepth = 0;       ///< Deepest at enqueue (guarded).
+        /**
+         * Requests checked per drain (guarded): added as the drain's
+         * holder lets go of the busy flag, under the mutex it takes
+         * then anyway (shardLoop, releaseShard).
+         */
+        RunningStat batchStat;
 
         /**
          * Set (guarded) while a thread is inside process() for this
@@ -417,13 +423,10 @@ class CheckService
         std::atomic<uint64_t> drains{0};       ///< Drains that took work.
         std::atomic<uint64_t> drainsInline{0}; ///< Of those, by a submitter.
 
-        // Owned by the shard's drain (single writer: the busy holder).
-        RunningStat batchStat;   ///< Requests per drain.
-        uint32_t peakDepth = 0;  ///< Deepest queue seen at enqueue.
-
         /**
-         * The resident list under a cap: materialized tenants, linked
-         * through TenantState::colder/hotter from coldest to hottest.
+         * The resident list under a cap (drain-owned): materialized
+         * tenants, linked through TenantState::colder/hotter from
+         * coldest to hottest.
          */
         TenantId coldest = kInvalidTenant;
         TenantId hottest = kInvalidTenant;
@@ -470,11 +473,18 @@ class CheckService
      * Run one drain over @p items: the shard worker's loop and a
      * submitter holding the shard's busy flag both call this. Batches
      * complete at the end, after the shard counters are updated.
+     *
+     * @return The requests it checked, for the shard's batchStat.
      */
-    void process(Shard &shard, std::span<Item> items, bool inlineDrain);
+    uint32_t process(Shard &shard, std::span<Item> items,
+                     bool inlineDrain);
 
-    /** Clear the busy flag; wake the worker if work or stop waits. */
-    void releaseShard(Shard &shard);
+    /**
+     * End a submitter's drain that checked @p checked requests: count
+     * it in batchStat, clear the busy flag, and wake the worker if
+     * work or stop waits.
+     */
+    void releaseShard(Shard &shard, uint32_t checked);
     void snapshotTenant(const TenantState &t, TenantStats &out) const;
 
     /**
@@ -530,6 +540,8 @@ class CheckService
     uint32_t _shardResidentCap = 0; ///< Per-shard budget; 0 = unbounded.
 
     std::atomic<bool> _stopping{false};
+    /** Set once stop() has joined every drain and frozen every tenant. */
+    std::atomic<bool> _stopped{false};
     support::ThreadPool _pool;
 };
 

@@ -96,8 +96,9 @@ struct TenantStats {
     /** Requests that went through the checker. */
     core::SwCheckStats check;
 
-    uint64_t allowed = 0;  ///< Verdicts that permitted the call.
-    uint64_t denied = 0;   ///< Verdicts that denied the call.
+    /** Verdicts that permitted the call: check.checks - check.denials. */
+    uint64_t allowed = 0;
+    uint64_t denied = 0;   ///< Verdicts that denied: check.denials.
     uint64_t rejects = 0;  ///< Requests shed by admission control.
 
     uint64_t epoch = 0;    ///< Current policy epoch (1 = creation).

@@ -214,13 +214,23 @@ TEST(ObsEndpoint, HealthzMetricsStatzSlowzAnswerOverHttp)
               std::string::npos);
     EXPECT_NE(metrics.find("draco_serve_live_connections_active"),
               std::string::npos);
+    EXPECT_NE(metrics.find("draco_serve_live_rejects_total 0"),
+              std::string::npos);
+    EXPECT_NE(metrics.find("draco_serve_live_batch_size_count"),
+              std::string::npos);
+    EXPECT_NE(metrics.find("draco_serve_live_lifecycle_evictions 0"),
+              std::string::npos);
     EXPECT_NE(metrics.find("draco_serve_obs_records_total"),
               std::string::npos);
 
+    // /statz renders the same registry as JSON.
     std::string statz = httpGet(port, "/statz");
     EXPECT_NE(statz.find("HTTP/1.0 200"), std::string::npos);
     EXPECT_NE(statz.find("application/json"), std::string::npos);
-    EXPECT_NE(statz.find("tenants"), std::string::npos);
+    EXPECT_NE(statz.find("\"live\": {"), std::string::npos);
+    EXPECT_NE(statz.find("\"checks\": 128"), std::string::npos);
+    EXPECT_NE(statz.find("\"tenants\": {"), std::string::npos);
+    EXPECT_NE(statz.find("\"connections\": {"), std::string::npos);
 
     std::string slowz = httpGet(port, "/slowz");
     EXPECT_NE(slowz.find("HTTP/1.0 200"), std::string::npos);

@@ -764,7 +764,7 @@ TEST(SocketServer, PipelinedBurstQueuesToTheWorkerInOrder)
     }
 
     MetricRegistry before;
-    service.exportLiveMetrics(before);
+    service.exportMetrics(before);
     std::vector<uint8_t> stream;
     for (uint64_t b = 0; b < kBatches; ++b)
         appendCheckBatch(stream, b + 1, pipe, batches[b]);
@@ -783,12 +783,12 @@ TEST(SocketServer, PipelinedBurstQueuesToTheWorkerInOrder)
         }
     }
     MetricRegistry after;
-    service.exportLiveMetrics(after);
-    const uint64_t drains = after.counterValue("serve.live.drains") -
-                            before.counterValue("serve.live.drains");
+    service.exportMetrics(after);
+    const uint64_t drains = after.counterValue("serve.drains") -
+                            before.counterValue("serve.drains");
     const uint64_t inlineDrains =
-        after.counterValue("serve.live.drains_inline") -
-        before.counterValue("serve.live.drains_inline");
+        after.counterValue("serve.drains_inline") -
+        before.counterValue("serve.drains_inline");
     EXPECT_GE(drains - inlineDrains, 1u)
         << "no batch of the burst drained on the worker";
     EXPECT_LE(inlineDrains, 1u) << "only the last frame arrives alone";

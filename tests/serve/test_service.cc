@@ -73,6 +73,15 @@ trafficMix(uint64_t seed, size_t n)
     return reqs;
 }
 
+/** @return The export's block for tenant @p id: `serve.tenants.t<id>`. */
+std::string
+tenantBlock(TenantId id)
+{
+    std::string block = "serve.tenants.t";
+    block += std::to_string(id);
+    return block;
+}
+
 TEST(CheckService, ChecksVerdictsAgainstTheProfile)
 {
     ServiceOptions options;
@@ -265,9 +274,10 @@ TEST(CheckService, BlockingCallersDrainIdleShardsThemselves)
                                   resps.data()));
 
     MetricRegistry live;
-    service.exportLiveMetrics(live);
-    EXPECT_EQ(live.counterValue("serve.live.drains"), 7u);
-    EXPECT_EQ(live.counterValue("serve.live.drains_inline"), 7u);
+    service.exportMetrics(live);
+    EXPECT_EQ(live.counterValue("serve.drains"), 7u);
+    EXPECT_EQ(live.counterValue("serve.drains_inline"), 7u);
+    EXPECT_EQ(live.runningStat("serve.batch_size").count(), 7u);
 
     // An asynchronous submit queues even though the shard is idle.
     Batch batch;
@@ -369,6 +379,7 @@ TEST(CheckService, EvictedTenantRejectsNewWorkButReportsStats)
     ASSERT_TRUE(service.tenantStats(id, stats));
     EXPECT_TRUE(stats.evicted);
     EXPECT_EQ(stats.allowed, 1u);
+    EXPECT_EQ(stats.check.checks, 1u);
 
     // The name is free for reuse; the new tenant gets a fresh id.
     TenantId fresh = service.createTenant("a", testProfile());
@@ -435,9 +446,149 @@ TEST(CheckService, ExportMetricsMatchesCounters)
     EXPECT_EQ(registry.counterValue("serve.shard_count"), 2u);
     EXPECT_EQ(registry.counterValue("serve.rejects.total"), 0u);
     EXPECT_EQ(registry.counterValue("serve.tenants.count"), 1u);
-    EXPECT_EQ(registry.counterValue("serve.tenants.a.allowed"), 10u);
+    const std::string tp = tenantBlock(id);
+    EXPECT_EQ(registry.textValue(tp + ".name"), "a");
+    EXPECT_EQ(registry.counterValue(tp + ".allowed"), 10u);
     EXPECT_TRUE(registry.has("serve.batch_size"));
     EXPECT_TRUE(registry.has("serve.shards.s1.peak_depth"));
+}
+
+/**
+ * stop() drops every checker, and each tenant's check counters must
+ * outlive it, with or without a resident cap: tenantStats() and the
+ * exit export (dracod --json) read them after stop().
+ */
+TEST(CheckService, TenantStatsSurviveStop)
+{
+    for (uint32_t cap : {0u, 1u}) {
+        ServiceOptions options;
+        options.maxResidentTenants = cap;
+        CheckService service(options);
+        TenantId id = service.createTenant("a", testProfile());
+        for (int i = 0; i < 10; ++i)
+            ASSERT_EQ(service.check(id, request(os::sc::read)).status,
+                      CheckStatus::Allowed);
+        service.stop();
+
+        TenantStats stats;
+        ASSERT_TRUE(service.tenantStats(id, stats));
+        EXPECT_EQ(stats.check.checks, 10u) << "cap " << cap;
+        EXPECT_EQ(stats.allowed, 10u) << "cap " << cap;
+        EXPECT_EQ(stats.denied, 0u) << "cap " << cap;
+
+        MetricRegistry registry;
+        service.exportMetrics(registry);
+        EXPECT_EQ(registry.counterValue(tenantBlock(id) + ".check.checks"),
+                  10u)
+            << "cap " << cap;
+    }
+}
+
+/**
+ * Tenant names are client input: names that sanitize to an export
+ * leaf (`count`) or to each other (`count`, `Count`) still export one
+ * block each, keyed by id, with the name kept as text.
+ */
+TEST(CheckService, ExportKeysTenantBlocksById)
+{
+    CheckService service;
+    const std::vector<std::string> names = {"count", "Count", "a"};
+    std::vector<TenantId> ids;
+    for (const std::string &name : names) {
+        ids.push_back(service.createTenant(name, testProfile()));
+        ASSERT_NE(ids.back(), kInvalidTenant);
+        ASSERT_EQ(service.check(ids.back(), request(os::sc::write, 2))
+                      .status,
+                  CheckStatus::Denied);
+    }
+    service.stop();
+
+    MetricRegistry registry;
+    service.exportMetrics(registry);
+    EXPECT_EQ(registry.counterValue("serve.tenants.count"), 3u);
+    EXPECT_EQ(registry.counterValue("serve.tenants.exported"), 3u);
+    for (size_t i = 0; i < names.size(); ++i) {
+        const std::string tp = tenantBlock(ids[i]);
+        EXPECT_EQ(registry.textValue(tp + ".name"), names[i]);
+        EXPECT_EQ(registry.counterValue(tp + ".denied"), 1u);
+    }
+}
+
+/**
+ * exportMetrics() is scrape-safe: a scraper thread exports in a loop
+ * while two clients check (one queueing to the workers, one draining
+ * inline) across tenants that a resident cap keeps evicting and
+ * restoring. Runs under TSan in CI. Tenant blocks wait for stop().
+ */
+TEST(CheckService, ExportMetricsUnderLiveTraffic)
+{
+    constexpr unsigned kTenants = 8;
+    constexpr unsigned kRounds = 200;
+    constexpr uint32_t kBatch = 16;
+    ServiceOptions options;
+    options.shards = 2;
+    options.maxResidentTenants = 2;
+    CheckService service(options);
+    std::vector<TenantId> ids;
+    for (unsigned t = 0; t < kTenants; ++t) {
+        std::string name = "t";
+        name += std::to_string(t);
+        ids.push_back(service.createTenant(name, testProfile()));
+    }
+
+    std::atomic<bool> done{false};
+    std::atomic<uint64_t> scrapes{0};
+    std::thread scraper([&] {
+        uint64_t lastChecks = 0;
+        while (!done.load()) {
+            MetricRegistry registry;
+            service.exportMetrics(registry);
+            const uint64_t checks = registry.counterValue("serve.checks");
+            EXPECT_GE(checks, lastChecks);
+            EXPECT_EQ(registry.counterValue("serve.tenants.exported"), 0u);
+            lastChecks = checks;
+            scrapes.fetch_add(1);
+        }
+    });
+
+    std::vector<std::thread> clients;
+    for (unsigned c = 0; c < 2; ++c) {
+        clients.emplace_back([&, c] {
+            std::vector<os::SyscallRequest> reqs = trafficMix(c, kBatch);
+            std::vector<CheckResponse> resps(kBatch);
+            while (scrapes.load() == 0)
+                std::this_thread::yield(); // scrape under the traffic
+            for (unsigned r = 0; r < kRounds; ++r) {
+                // Each client cycles its own half of the tenants,
+                // which spans both shards.
+                const TenantId id =
+                    ids[c * kTenants / 2 + r % (kTenants / 2)];
+                Batch batch;
+                service.submitBatch(id, reqs.data(), kBatch, resps.data(),
+                                    batch, nullptr,
+                                    c ? DrainOn::CallerIfIdle
+                                      : DrainOn::Worker);
+                batch.wait();
+            }
+        });
+    }
+    for (std::thread &client : clients)
+        client.join();
+    done.store(true);
+    scraper.join();
+    service.stop();
+
+    MetricRegistry registry;
+    service.exportMetrics(registry);
+    const uint64_t total = 2ull * kRounds * kBatch;
+    EXPECT_EQ(registry.counterValue("serve.checks"), total);
+    EXPECT_EQ(registry.counterValue("serve.tenants.exported"), kTenants);
+    uint64_t tenantChecks = 0;
+    for (TenantId id : ids)
+        tenantChecks +=
+            registry.counterValue(tenantBlock(id) + ".check.checks");
+    EXPECT_EQ(tenantChecks, total);
+    EXPECT_GT(registry.counterValue("serve.lifecycle.evictions"), 0u);
 }
 
 } // namespace
