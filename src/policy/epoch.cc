@@ -47,9 +47,15 @@ void
 EpochManager::countSwap(uint64_t newEpoch)
 {
     _swaps.fetch_add(1, std::memory_order_relaxed);
+    countEpoch(newEpoch);
+}
+
+void
+EpochManager::countEpoch(uint64_t epoch)
+{
     uint64_t seen = _maxEpoch.load(std::memory_order_relaxed);
-    while (seen < newEpoch &&
-           !_maxEpoch.compare_exchange_weak(seen, newEpoch,
+    while (seen < epoch &&
+           !_maxEpoch.compare_exchange_weak(seen, epoch,
                                             std::memory_order_relaxed)) {
     }
 }

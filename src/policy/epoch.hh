@@ -141,6 +141,12 @@ class EpochManager
     /** Count one published swap that produced epoch @p newEpoch. */
     void countSwap(uint64_t newEpoch);
 
+    /**
+     * Count a tenant serving epoch @p epoch: a swap's new epoch, or a
+     * new tenant's epoch 1, so maxEpoch() reads 1 on a fresh fleet.
+     */
+    void countEpoch(uint64_t epoch);
+
     /** Count a swap rejected before publication. */
     void countSwapFailure()
     {

@@ -215,12 +215,16 @@ CheckService::createTenant(const std::string &name,
     // same profile share one filter chain and spec map. It seeds the
     // tenant's epoch slot as epoch 1; live swaps publish from there.
     auto epoch = state->epochs.install(_epochs.intern(profile));
+    _epochs.countEpoch(epoch->epoch);
     if (!lifecycleEnabled()) {
-        // No resident cap: build the mutable half eagerly, as before.
+        // No resident cap: build the mutable half eagerly, as before,
+        // and count it resident on its shard until an admin eviction.
         // Under a cap the owning shard's drain materializes it on the
         // tenant's first request (and may drop it again later).
         state->checker = std::make_unique<core::DracoSoftwareChecker>(
             epoch->policy, state->opts.filterCopies);
+        _shards[state->shard]->resident.fetch_add(
+            1, std::memory_order_relaxed);
     }
 
     _tenants[count] = std::move(state);
@@ -462,6 +466,8 @@ CheckService::evictTenant(TenantId id)
     TenantState *t = tenant(id);
     if (!t || t->evicted.exchange(true))
         return false;
+    if (!lifecycleEnabled())
+        _shards[t->shard]->resident.fetch_sub(1, std::memory_order_relaxed);
 
     {
         // Free the name for re-creation; the slot itself is not reused.
@@ -949,17 +955,6 @@ CheckService::totalRejects() const
 uint32_t
 CheckService::residentTenants() const
 {
-    if (!lifecycleEnabled()) {
-        // Without a cap every non-evicted tenant holds its checker.
-        uint32_t resident = 0;
-        uint32_t count = _tenantCount.load(std::memory_order_acquire);
-        for (uint32_t i = 0; i < count; ++i) {
-            const TenantState *t = _tenants[i].get();
-            if (t && !t->evicted.load())
-                ++resident;
-        }
-        return resident;
-    }
     uint32_t resident = 0;
     for (const auto &shard : _shards)
         resident += shard->resident.load(std::memory_order_relaxed);

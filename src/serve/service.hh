@@ -447,7 +447,12 @@ class CheckService
         std::atomic<uint64_t> snapshotBytesRead{0};
         std::atomic<uint64_t> storeBytes{0};
 
-        /** Cross-thread mirror of residentCount. */
+        /**
+         * Tenants holding a checker on this shard: under a cap the
+         * cross-thread mirror of residentCount; without one, counted
+         * at create and at admin eviction, so the shards' gauges sum
+         * to residentTenants() either way.
+         */
         std::atomic<uint32_t> resident{0};
 
         /** Telemetry track, clocked in wall ns since service start. */

@@ -454,6 +454,77 @@ TEST(CheckService, ExportMetricsMatchesCounters)
 }
 
 /**
+ * Each shard's `resident` gauge counts the tenants holding a checker
+ * on it, so the gauges sum to `lifecycle.resident` with a resident cap
+ * and without one. Without a cap every live tenant is resident, from
+ * its creation until an admin eviction.
+ */
+TEST(CheckService, ShardResidentGaugesSumToTheServiceCount)
+{
+    for (uint32_t cap : {0u, 2u}) {
+        ServiceOptions options;
+        options.shards = 2;
+        options.maxResidentTenants = cap;
+        CheckService service(options);
+        std::vector<TenantId> ids;
+        for (int i = 0; i < 4; ++i) {
+            ids.push_back(
+                service.createTenant("r" + std::to_string(i), testProfile()));
+            service.check(ids.back(), request(os::sc::read));
+        }
+        auto gauges = [&](uint32_t want) {
+            MetricRegistry registry;
+            service.exportMetrics(registry, "serve.live");
+            const double s0 =
+                registry.gaugeValue("serve.live.shards.s0.resident");
+            const double s1 =
+                registry.gaugeValue("serve.live.shards.s1.resident");
+            EXPECT_EQ(registry.counterValue("serve.live.lifecycle.resident"),
+                      want) << "cap " << cap;
+            EXPECT_EQ(s0 + s1, want) << "cap " << cap;
+            EXPECT_EQ(s0, s1) << "cap " << cap;
+        };
+        gauges(cap ? cap : 4);
+        if (cap == 0) {
+            // Tenant 2 is shard 1's; shard 0 keeps both of its own.
+            EXPECT_TRUE(service.evictTenant(ids[1]));
+            MetricRegistry registry;
+            service.exportMetrics(registry, "serve.live");
+            EXPECT_EQ(registry.gaugeValue("serve.live.shards.s0.resident"),
+                      2.0);
+            EXPECT_EQ(registry.gaugeValue("serve.live.shards.s1.resident"),
+                      1.0);
+            EXPECT_EQ(service.residentTenants(), 3u);
+        }
+        service.stop();
+    }
+}
+
+/**
+ * A new tenant serves epoch 1, so the highest epoch any tenant reached
+ * reads 1 on a fresh fleet, and 2 after one swap.
+ */
+TEST(CheckService, MaxEpochCountsTheFirstInstall)
+{
+    CheckService service;
+    ServiceStatsSnapshot stats;
+    service.serviceStats(stats);
+    EXPECT_EQ(stats.maxEpoch, 0u) << "no tenant yet";
+    TenantId id = service.createTenant("e", testProfile());
+    service.serviceStats(stats);
+    EXPECT_EQ(stats.maxEpoch, 1u);
+    MetricRegistry registry;
+    service.exportMetrics(registry, "serve.live");
+    EXPECT_EQ(registry.counterValue("serve.live.policy.max_epoch"), 1u);
+    seccomp::Profile next = testProfile();
+    next.allow(os::sc::openat);
+    EXPECT_TRUE(service.swapProfile(id, next));
+    service.serviceStats(stats);
+    EXPECT_EQ(stats.maxEpoch, 2u);
+    service.stop();
+}
+
+/**
  * stop() drops every checker, and each tenant's check counters must
  * outlive it, with or without a resident cap: tenantStats() and the
  * exit export (dracod --json) read them after stop().
