@@ -39,6 +39,22 @@ unixOnly(std::string path)
     return options;
 }
 
+/**
+ * Recycled Pendings a loop keeps, and the most requests one may hold
+ * and still be kept: a burst of large batches frees its Pendings
+ * instead of pinning up to kMaxBatchRequests records in each.
+ */
+constexpr size_t kSparePendings = 128;
+constexpr size_t kRecycledRequests = 128;
+
+/**
+ * A SlotBell frame as it crosses the socket: the little-endian length
+ * prefix 1, then the type byte. Both ends ring with it, so a ring
+ * encodes nothing.
+ */
+constexpr uint8_t kSlotBellFrame[5] = {
+    1, 0, 0, 0, static_cast<uint8_t>(wire::MsgType::SlotBell)};
+
 /** The Loop whose thread this is, or null off the loop threads. */
 thread_local const void *tCurrentLoop = nullptr;
 
@@ -63,7 +79,7 @@ slotWord(uint8_t *base, size_t offset)
 struct SocketServer::Slot {
     support::SharedMapping map;
     uint64_t seq = 0;             ///< Request sequence number last taken.
-    uint64_t activeNs = 0;        ///< Last request taken or reply written.
+    uint64_t activeNs = 0;        ///< Last batch answered or in flight.
     bool rang = false;            ///< The last reply rang a sleeping client.
     bool busy = false;            ///< A slot batch is in flight.
     bool spinning = false;        ///< In the loop's spin set.
@@ -142,9 +158,11 @@ struct SocketServer::Conn {
 /**
  * One CheckBatch from decode to reply. The loop decodes the frame
  * straight into `request`, the drain writes verdicts into
- * `reply.resps`, and the completion hands the whole object to the
- * owning loop's inbox, where pumpReplies() frames `reply` into the
- * connection's outBuf.
+ * `reply.resps`, and the completion hands the whole object back to
+ * the owning loop, where pumpReplies() frames `reply` into the
+ * connection's outBuf or the check slot. Each loop recycles its own
+ * (Loop::takePending), so the vectors keep their capacity and a warm
+ * batch allocates nothing.
  */
 struct SocketServer::Pending {
     Conn *conn = nullptr;
@@ -158,23 +176,83 @@ struct SocketServer::Pending {
 
 /** One event-loop thread and everything it owns. */
 struct SocketServer::Loop {
+    Loop()
+    {
+        spare.reserve(kSparePendings);
+        local.reserve(1);
+    }
+
+    /**
+     * The completion of a batch submitted on this loop; runs on
+     * whichever thread completed it. This loop's own thread (it ran
+     * the drain or shed the batch inside submitBatch) lists it in
+     * `local`, with no lock and no wakeup. A shard worker pushes it to
+     * the inbox and wakes the loop when the push made the inbox
+     * non-empty: the loop swaps the whole inbox under the mutex, so a
+     * non-empty inbox already has a wakeup pending. The eventfd is
+     * signalled under the mutex so the loop cannot pump this entry,
+     * finish draining, and be destroyed between the push and the
+     * wakeup write. Either way the push is the completer's last touch
+     * of @p pending: a shard worker must not read or write it after
+     * that, since the loop may recycle it for its next batch at once.
+     */
+    void
+    complete(Pending *pending)
+    {
+        if (tCurrentLoop == this) {
+            local.push_back(pending);
+            return;
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        const bool wasEmpty = inbox.empty();
+        inbox.push_back(pending);
+        if (wasEmpty)
+            wake.signal();
+    }
+
+    /** @return A Pending for the next batch, recycled when one waits. */
+    Pending *
+    takePending()
+    {
+        if (spare.empty())
+            return new Pending;
+        Pending *pending = spare.back().release();
+        spare.pop_back();
+        return pending;
+    }
+
+    /** Keep @p pending for a later batch, or free it past the bounds. */
+    void
+    recycle(Pending *pending)
+    {
+        std::unique_ptr<Pending> owned(pending);
+        if (spare.size() < kSparePendings &&
+            owned->request.reqs.capacity() <= kRecycledRequests &&
+            owned->reply.resps.capacity() <= kRecycledRequests)
+            spare.push_back(std::move(owned));
+    }
+
     support::Epoll epoll;
     support::EventFd wake;
     std::thread thread;
     size_t index = 0; ///< This loop's slot in the ServeObs hub.
 
     std::mutex mutex; ///< Guards inbox and pendingAdopt.
-    /** Completed batches, from shard workers and this loop. */
-    std::vector<std::shared_ptr<Pending>> inbox;
+    /** Batches a shard worker completed for this loop. */
+    std::vector<Pending *> inbox;
     std::vector<std::unique_ptr<Conn>> pendingAdopt; ///< From accept.
 
-    /**
-     * Loop-thread-only scratch of pumpReplies(): the inbox swaps with
-     * `pumping`, which is cleared and kept, so neither vector loses
-     * its capacity and a completion pushing under the mutex does not
-     * allocate.
+    /*
+     * The rest is loop-thread-only. `local` holds batches this thread
+     * completed itself; pumpReplies() takes them after the inbox, and
+     * every path that submits a batch pumps before it submits the next,
+     * so `local` holds at most that one. The inbox swaps with
+     * `pumping`, which is cleared and kept, so no vector here loses its
+     * capacity and no completion allocates.
      */
-    std::vector<std::shared_ptr<Pending>> pumping;
+    std::vector<Pending *> local;
+    std::vector<Pending *> pumping;
+    std::vector<std::unique_ptr<Pending>> spare; ///< Recycled Pendings.
     std::vector<Conn *> touched;
 
     /** Slot connections polled between epoll_waits (spinSlots()). */
@@ -442,59 +520,78 @@ SocketServer::adoptPending(Loop &loop, bool stopping)
 void
 SocketServer::pumpReplies(Loop &loop)
 {
+    // The workers' completions go first. A batch this loop drained
+    // itself claimed an idle shard, after every earlier batch of that
+    // shard had completed, so its reply belongs after theirs.
     {
         std::lock_guard<std::mutex> lock(loop.mutex);
-        if (loop.inbox.empty())
-            return;
         loop.inbox.swap(loop.pumping);
     }
-    for (const std::shared_ptr<Pending> &pending : loop.pumping) {
-        Conn *conn = pending->conn;
-        conn->inflight--;
-        if (pending->viaSlot && !conn->discardOutput) {
-            replyToSlot(loop, conn, pending->reply);
-            if (pending->hasRec && _obs) {
-                // Flushed: the reply is in the slot, visible to the
-                // client's next load of the reply sequence number.
-                obs::StageRecord rec = pending->rec;
-                rec.flushedNs = obs::nowNs();
-                _obs->commit(loop.index, rec);
-            }
-            continue;
-        }
-        if (!conn->pumpTouched) {
-            conn->pumpTouched = true;
-            loop.touched.push_back(conn);
-        }
-        if (conn->discardOutput) {
-            if (pending->hasRec && _obs)
-                _obs->recordDropped(loop.index, 1);
-            continue;
-        }
-        const size_t start = wire::beginFrame(conn->outBuf);
-        wire::encode(conn->outBuf, pending->reply);
-        wire::endFrame(conn->outBuf, start);
-        if (conn->outBuf.size() - conn->outPos > kMaxOutputBytes) {
-            logWarnEvery("serve.backlog", 1000,
-                         "dracod: connection output backlog over %zu "
-                         "bytes, dropping connection",
-                         kMaxOutputBytes);
-            if (pending->hasRec && _obs)
-                _obs->recordDropped(loop.index, 1);
-            beginDrain(loop, conn, true);
-            continue;
-        }
-        conn->outQueuedBytes += conn->outBuf.size() - start;
-        if (pending->hasRec && _obs)
-            conn->marks.push_back(
-                Conn::FlushMark{conn->outQueuedBytes, pending->rec});
+    for (Pending *pending : loop.pumping) {
+        answer(loop, *pending);
+        loop.recycle(pending);
     }
     loop.pumping.clear();
+    pumpLocal(loop);
+}
+
+void
+SocketServer::pumpLocal(Loop &loop)
+{
+    for (Pending *pending : loop.local) {
+        answer(loop, *pending);
+        loop.recycle(pending);
+    }
+    loop.local.clear();
     for (Conn *conn : loop.touched) {
         conn->pumpTouched = false;
         flushOutput(loop, conn);
     }
     loop.touched.clear();
+}
+
+void
+SocketServer::answer(Loop &loop, const Pending &pending)
+{
+    Conn *conn = pending.conn;
+    conn->inflight--;
+    if (pending.viaSlot && !conn->discardOutput) {
+        replyToSlot(loop, conn, pending.reply);
+        if (pending.hasRec && _obs) {
+            // Flushed: the reply is in the slot, visible to the
+            // client's next load of the reply sequence number.
+            obs::StageRecord rec = pending.rec;
+            rec.flushedNs = obs::nowNs();
+            _obs->commit(loop.index, rec);
+        }
+        return;
+    }
+    if (!conn->pumpTouched) {
+        conn->pumpTouched = true;
+        loop.touched.push_back(conn);
+    }
+    if (conn->discardOutput) {
+        if (pending.hasRec && _obs)
+            _obs->recordDropped(loop.index, 1);
+        return;
+    }
+    const size_t start = wire::beginFrame(conn->outBuf);
+    wire::encode(conn->outBuf, pending.reply);
+    wire::endFrame(conn->outBuf, start);
+    if (conn->outBuf.size() - conn->outPos > kMaxOutputBytes) {
+        logWarnEvery("serve.backlog", 1000,
+                     "dracod: connection output backlog over %zu "
+                     "bytes, dropping connection",
+                     kMaxOutputBytes);
+        if (pending.hasRec && _obs)
+            _obs->recordDropped(loop.index, 1);
+        beginDrain(loop, conn, true);
+        return;
+    }
+    conn->outQueuedBytes += conn->outBuf.size() - start;
+    if (pending.hasRec && _obs)
+        conn->marks.push_back(
+            Conn::FlushMark{conn->outQueuedBytes, pending.rec});
 }
 
 void
@@ -513,7 +610,13 @@ SocketServer::readInput(Loop &loop, Conn *conn,
         ssize_t r = ::read(conn->fd, chunk.data(), chunk.size());
         if (r > 0) {
             conn->parser.append(chunk.data(), static_cast<size_t>(r));
-            if (!parseFrames(loop, conn)) {
+            const bool ok = parseFrames(loop, conn);
+            // The last frame of this read may have drained on the
+            // loop: answer it now, before the next read submits a
+            // batch that could complete ahead of it, and before every
+            // other ready connection has been parsed and checked.
+            pumpReplies(loop);
+            if (!ok) {
                 beginDrain(loop, conn, false);
                 break;
             }
@@ -534,10 +637,6 @@ SocketServer::readInput(Loop &loop, Conn *conn,
         beginDrain(loop, conn, true);
         break;
     }
-    // Replies of batches this read drained on the loop are already in
-    // the inbox: send them now, not after every other ready
-    // connection has been parsed and checked.
-    pumpReplies(loop);
     if (!conn->discardOutput && conn->outPos < conn->outBuf.size())
         flushOutput(loop, conn);
 }
@@ -663,7 +762,9 @@ SocketServer::parseFrames(Loop &loop, Conn *conn)
           case wire::FrameParser::Result::Need:
             return true;
           case wire::FrameParser::Result::Corrupt:
-            warn("dracod: oversized frame length, closing connection");
+            logWarnEvery("serve.oversize", 1000,
+                         "dracod: oversized frame length, closing "
+                         "connection");
             return false;
           case wire::FrameParser::Result::Frame:
             if (!handleFrame(loop, conn, payload))
@@ -820,8 +921,10 @@ SocketServer::handleFrame(Loop &loop, Conn *conn,
         return false;
       }
       default:
-        warn("dracod: unexpected frame type %u, closing connection",
-             static_cast<unsigned>(wire::peekType(payload)));
+        logWarnEvery("serve.frametype", 1000,
+                     "dracod: unexpected frame type %u, closing "
+                     "connection",
+                     static_cast<unsigned>(wire::peekType(payload)));
         return false;
     }
 }
@@ -835,10 +938,12 @@ SocketServer::submitCheckBatch(Loop &loop, Conn *conn,
     // this loop for a lone batch on an idle shard, else the shard
     // worker. The loop keeps decoding further frames, so one
     // connection can pipeline many batches.
-    auto pending = std::make_shared<Pending>();
+    Pending *pending = loop.takePending();
     wire::CheckBatch &request = pending->request;
-    if (!wire::decode(payload, request))
+    if (!wire::decode(payload, request)) {
+        loop.recycle(pending);
         return false;
+    }
     const auto count = static_cast<uint32_t>(request.reqs.size());
     pending->reply.batchId = request.batchId;
     pending->reply.resps.resize(count);
@@ -850,6 +955,7 @@ SocketServer::submitCheckBatch(Loop &loop, Conn *conn,
             wire::encode(reply, pending->reply);
             sendControl(loop, conn, reply);
         }
+        loop.recycle(pending);
         return true;
     }
     pending->conn = conn;
@@ -857,36 +963,21 @@ SocketServer::submitCheckBatch(Loop &loop, Conn *conn,
     conn->inflight++;
     if (viaSlot)
         conn->slot->busy = true;
-    if (_obs) {
-        pending->hasRec = true;
+    pending->hasRec = _obs != nullptr;
+    if (pending->hasRec) {
+        pending->rec = obs::StageRecord{};
         pending->rec.admitNs = conn->lastReadNs;
         pending->rec.parseNs = obs::nowNs();
         pending->rec.batchId = request.batchId;
         pending->rec.tenant = request.tenantId;
     }
+    // Two pointers: std::function holds them inline. The completion
+    // must not touch Conn state, whichever thread runs it: the loop
+    // alone decrements inflight while it pumps the reply, which also
+    // keeps the conn alive until then.
     Loop *owner = &loop;
-    pending->batch.onComplete([owner, pending]() mutable {
-        // Runs on whichever thread completes the batch: a shard
-        // worker, or this loop inside submitBatch when it ran the
-        // drain or shed the batch. It must not touch Conn state:
-        // the batch goes through the owning loop's inbox and the
-        // loop alone decrements inflight — which also keeps the
-        // conn alive until this reply has been pumped.
-        //
-        // Wake the loop only when this push makes the inbox
-        // non-empty: the loop swaps the whole inbox under this
-        // mutex, so a non-empty inbox already has a wakeup pending,
-        // and on the loop's own thread the pump at the end of the
-        // current read takes it. The eventfd is signalled under
-        // the inbox mutex so the loop cannot pump this entry, finish
-        // draining, and let the server be destroyed between our
-        // push and the wakeup write.
-        std::lock_guard<std::mutex> lock(owner->mutex);
-        const bool wasEmpty = owner->inbox.empty();
-        owner->inbox.push_back(std::move(pending));
-        if (wasEmpty && tCurrentLoop != owner)
-            owner->wake.signal();
-    });
+    pending->batch.onComplete(
+        [owner, pending] { owner->complete(pending); });
     // A lone batch — a slot's, or a frame with nothing buffered
     // behind it — may run on this loop when its shard is idle,
     // skipping the queue handoff and both wakeups. Frames with more
@@ -963,17 +1054,24 @@ SocketServer::spinSlots(Loop &loop)
     // slot idle for a whole window parks and leaves the set.
     const uint64_t start = obs::nowNs();
     for (uint64_t now = start; !loop.spinning.empty();) {
+        bool answered = false;
         for (size_t i = 0; i < loop.spinning.size();) {
             Conn *conn = loop.spinning[i];
             Slot &slot = *conn->slot;
             bool keep = conn->state == ConnState::Open;
-            if (keep && !slot.busy) {
+            if (keep && slot.busy) {
+                // Queued to a shard worker: the window restarts every
+                // round until the reply lands.
+                slot.activeNs = now;
+            } else if (keep) {
                 // A batch drained here is answered before the next
-                // slot is read, not after the rest of the round, and
-                // the next slot is stamped after it.
+                // slot is read, without the inbox mutex, and the clock
+                // read after it stamps both this slot and the next.
                 if (takeSlotBatch(loop, conn, now)) {
-                    pumpReplies(loop);
+                    pumpLocal(loop);
                     now = obs::nowNs();
+                    slot.activeNs = now;
+                    answered = true;
                 } else if (slot.rang ||
                            now >= slot.activeNs + wire::kSlotSpinNs) {
                     // A client that had to be rung is not back within
@@ -990,10 +1088,14 @@ SocketServer::spinSlots(Loop &loop)
             loop.spinning.pop_back();
         }
         pumpReplies(loop);
-        now = obs::nowNs();
+        // A round that answered a batch read the clock after it and
+        // goes straight on; an idle one reads it and pauses.
+        if (!answered) {
+            now = obs::nowNs();
+            support::cpuRelax();
+        }
         if (now - start >= wire::kSlotSpinNs)
             return;
-        support::cpuRelax();
     }
 }
 
@@ -1007,13 +1109,27 @@ SocketServer::takeSlotBatch(Loop &loop, Conn *conn, uint64_t now)
     if (seq == slot.seq)
         return false;
     slot.seq = seq;
-    slot.activeNs = now;
     conn->lastReadNs = now;
     // The length is read once and bounded before it sizes anything;
     // the payload is copied out once and only the copy is decoded.
     const uint32_t len = slotWord<uint32_t>(base, wire::kSlotRequestLen)
                              .load(std::memory_order_relaxed);
     if (len <= wire::kSlotRequestBytes) {
+        // Ask for every line the batch needs before touching any: the
+        // request's, which the copy then takes without a miss apiece,
+        // and, for writing, the reply lines its verdicts will fill.
+        // Their transfers overlap the copy and the check.
+        const size_t count =
+            len > wire::kCheckBatchHeaderBytes
+                ? (len - wire::kCheckBatchHeaderBytes) /
+                      wire::kRequestRecordBytes
+                : 0;
+        support::prefetchLines(base + wire::kSlotRequestOffset, len);
+        support::prefetchLinesForWrite(
+            base + wire::kSlotReplyOffset,
+            std::min(wire::kSlotReplyBytes,
+                     wire::kCheckBatchReplyHeaderBytes +
+                         count * wire::kVerdictRecordBytes));
         slot.copy.resize(len);
         support::copyFromShared(slot.copy.data(),
                                 base + wire::kSlotRequestOffset, len);
@@ -1021,7 +1137,9 @@ SocketServer::takeSlotBatch(Loop &loop, Conn *conn, uint64_t now)
     if (len > wire::kSlotRequestBytes ||
         wire::peekType(slot.copy) != wire::MsgType::CheckBatch ||
         !submitCheckBatch(loop, conn, slot.copy, true)) {
-        warn("dracod: malformed check slot request, closing connection");
+        logWarnEvery("serve.slotreq", 1000,
+                     "dracod: malformed check slot request, closing "
+                     "connection");
         beginDrain(loop, conn, false);
     }
     return true;
@@ -1046,13 +1164,10 @@ SocketServer::replyToSlot(Loop &loop, Conn *conn,
     // its own backlog.
     slotWord<uint64_t>(base, wire::kSlotReplySeq).store(slot.seq);
     slot.busy = false;
-    slot.activeNs = obs::nowNs();
     slot.rang =
         slotWord<uint32_t>(base, wire::kSlotClientSleeping).load() != 0;
     if (slot.rang) {
-        std::vector<uint8_t> bell;
-        wire::encodeSlotBell(bell);
-        sendControl(loop, conn, bell);
+        sendControl(loop, conn, std::span(kSlotBellFrame).subspan(4));
         flushOutput(loop, conn);
     }
 }
@@ -1416,18 +1531,16 @@ SocketClient::slotRoundTrip(std::span<const uint8_t> &reply)
     // request that had to ring sleeps at once, since a parked loop
     // answers only after a wakeup; one that came straight back spins,
     // and a reply it catches spinning keeps the daemon spinning too.
-    const bool paced = obs::nowNs() - slot.replyNs >= wire::kSlotSpinNs;
+    // One clock read serves the pacing test and the spin deadline.
+    const uint64_t now = obs::nowNs();
+    const bool paced = now - slot.replyNs >= wire::kSlotSpinNs;
     const uint64_t seq = ++slot.seq;
     slotWord<uint64_t>(base, wire::kSlotRequestSeq).store(seq);
     const bool ring =
         slotWord<uint32_t>(base, wire::kSlotDaemonSleeping).load() != 0;
-    if (ring) {
-        std::vector<uint8_t> bell;
-        wire::encodeSlotBell(bell);
-        if (!wire::writeFrame(_fd, bell))
-            return false;
-    }
-    if (!awaitSlotReply(seq, !(ring && paced)))
+    if (ring && !ringDaemon())
+        return false;
+    if (!awaitSlotReply(seq, !(ring && paced), now))
         return false;
     slot.replyNs = obs::nowNs();
     const uint32_t len = slotWord<uint32_t>(base, wire::kSlotReplyLen)
@@ -1441,17 +1554,32 @@ SocketClient::slotRoundTrip(std::span<const uint8_t> &reply)
 }
 
 bool
-SocketClient::awaitSlotReply(uint64_t seq, bool spin)
+SocketClient::ringDaemon()
+{
+    for (size_t sent = 0; sent < sizeof(kSlotBellFrame);) {
+        const ssize_t n = ::send(_fd, kSlotBellFrame + sent,
+                                 sizeof(kSlotBellFrame) - sent,
+                                 MSG_NOSIGNAL);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return false;
+        sent += static_cast<size_t>(n);
+    }
+    return true;
+}
+
+bool
+SocketClient::awaitSlotReply(uint64_t seq, bool spin, uint64_t startNs)
 {
     Slot &slot = *_slot;
     auto replySeq = slotWord<uint64_t>(slot.map.data(), wire::kSlotReplySeq);
     auto sleeping =
         slotWord<uint32_t>(slot.map.data(), wire::kSlotClientSleeping);
-    const uint64_t start = obs::nowNs();
     for (unsigned i = 1; spin; ++i) {
         if (replySeq.load(std::memory_order_acquire) == seq)
             return true;
-        if (i % 64 == 0 && obs::nowNs() - start >= wire::kSlotSpinNs)
+        if (i % 64 == 0 && obs::nowNs() - startNs >= wire::kSlotSpinNs)
             break;
         support::cpuRelax();
     }

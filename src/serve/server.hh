@@ -10,19 +10,21 @@
  * each connection carries its own incremental frame parser and staged
  * output buffer. Control messages answer inline on the loop thread.
  * A CheckBatch decodes from the parser's buffer straight into its
- * pending batch's request array. One that arrives alone — nothing
- * buffered behind it on its connection — while its shard is idle is
- * checked on the loop thread itself (CheckService::submitBatch with
- * DrainOn::CallerIfIdle), which is what a lock-step client always
- * sends. Every other CheckBatch queues to its shard worker. Either
- * way the completion hands the pending batch to the owning loop
- * through a per-loop MPSC inbox (woken by an eventfd when the worker
- * completed it), and the loop frames its reply straight into the
- * connection's output buffer. The loop pumps that inbox at the end of
- * every read, so a batch it checked itself is answered before the
- * loop turns to the next ready connection. One connection can
- * pipeline many batches, and thousands of connections cost threads
- * only in the fixed pool.
+ * pending batch's request array. Each loop recycles its pending
+ * batches, vectors and all, so a warm batch allocates nothing. One
+ * that arrives alone — nothing buffered behind it on its connection —
+ * while its shard is idle is checked on the loop thread itself
+ * (CheckService::submitBatch with DrainOn::CallerIfIdle), which is
+ * what a lock-step client always sends; its completion goes on a list
+ * only that loop touches, with no lock and no wakeup. Every other
+ * CheckBatch queues to its shard worker, whose completion hands the
+ * pending batch to the owning loop through a per-loop MPSC inbox
+ * (under a mutex, woken by an eventfd). The loop pumps both after
+ * every read, the inbox first, and frames each reply straight into
+ * the connection's output buffer: a batch it checked itself is
+ * answered before the loop reads on or turns to the next ready
+ * connection. One connection can pipeline many batches, and
+ * thousands of connections cost threads only in the fixed pool.
  *
  * A Unix connection also gets a shared-memory check slot at its first
  * CheckBatch (SlotOpen; layout in serve/wire.hh; DESIGN §11): a sealed
@@ -34,9 +36,10 @@
  * epoll_wait(…, 0) between rounds, and parks it sooner when the reply
  * had to ring a sleeping client. A slot batch takes the socket batch's
  * path, except that its payload is copied once out of the slot before
- * decoding and its reply is written into the slot; a bad payload
- * drains that connection only. TCP connections and pipelined raw
- * frames stay on the socket.
+ * decoding, after a prefetch of its lines and, for writing, of the
+ * reply lines it will need, and its reply is written into the slot; a
+ * bad payload drains that connection only. TCP connections and
+ * pipelined raw frames stay on the socket.
  *
  * Connection teardown is a state machine, not a join: Open →
  * Draining → reaped. A client disconnect (EOF or half-close) stops
@@ -212,15 +215,16 @@ class SocketServer
      * Conn is one accepted connection; Slot is its check slot, once
      * opened; Pending is one CheckBatch from decode to reply; Loop is
      * one event-loop thread plus its epoll set, eventfd, MPSC inbox of
-     * completed Pendings, adoption queue of freshly accepted
-     * connections, and spin set of slot connections. After adoption
-     * every Conn field is owned by its loop thread; batch completions
-     * never touch a Conn, whichever thread runs them — completed
-     * batches travel through the loop's inbox, and the conn pointer
-     * they carry stays valid because a connection is only reaped once
-     * its in-flight count (decremented exclusively by the loop while
-     * pumping that inbox) reaches zero. All four are defined in
-     * server.cc.
+     * Pendings the shard workers completed, list of Pendings it
+     * completed itself, recycled Pendings, adoption queue of freshly
+     * accepted connections, and spin set of slot connections. After
+     * adoption every Conn field is owned by its loop thread; batch
+     * completions never touch a Conn, whichever thread runs them —
+     * completed batches travel through the loop's inbox or its own
+     * list, and the conn pointer they carry stays valid because a
+     * connection is only reaped once its in-flight count (decremented
+     * exclusively by the loop while pumping them) reaches zero. All
+     * four are defined in server.cc.
      */
     struct Conn;
     struct Slot;
@@ -231,6 +235,8 @@ class SocketServer
     void acceptReady(int listenFd, bool tcp, bool http = false);
     void adoptPending(Loop &loop, bool stopping);
     void pumpReplies(Loop &loop);
+    void pumpLocal(Loop &loop);
+    void answer(Loop &loop, const Pending &pending);
     void readInput(Loop &loop, Conn *conn, std::vector<uint8_t> &chunk);
     void readHttp(Loop &loop, Conn *conn, std::vector<uint8_t> &chunk);
     void handleHttp(Loop &loop, Conn *conn);
@@ -384,11 +390,14 @@ class SocketClient final : public Client
     /** roundTrip() through the check slot. */
     bool slotRoundTrip(std::span<const uint8_t> &reply);
 
+    /** Send the daemon a SlotBell. @return false on a send failure. */
+    bool ringDaemon();
+
     /**
-     * Wait for the reply numbered @p seq, spinning first when @p spin;
-     * false if the daemon hung up.
+     * Wait for the reply numbered @p seq, spinning first when @p spin
+     * until kSlotSpinNs after @p startNs; false if the daemon hung up.
      */
-    bool awaitSlotReply(uint64_t seq, bool spin);
+    bool awaitSlotReply(uint64_t seq, bool spin, uint64_t startNs);
 
     /**
      * Read what the socket holds and consume its SlotBell frames.

@@ -12,7 +12,8 @@
  * moment, one relaxed atomic word at a time: a reader copies a
  * payload out once and decodes only its private copy, so a
  * concurrent writer can garble the bytes but can never change them
- * between a check and a use.
+ * between a check and a use. prefetchLines and prefetchLinesForWrite
+ * start a copy's line transfers before the copy needs them.
  */
 
 #ifndef DRACO_SUPPORT_SHM_HH
@@ -104,6 +105,34 @@ void copyToShared(uint8_t *dst, const uint8_t *src, size_t n);
  * to a multiple of 8 bytes) in relaxed atomic 8-byte loads.
  */
 void copyFromShared(uint8_t *dst, const uint8_t *src, size_t n);
+
+/**
+ * Start moving the 64-byte cache lines of [@p p, @p p + @p n), @p p on
+ * a line boundary, toward this core ahead of a copy out of them, so
+ * their transfers overlap instead of missing one line at a time. A
+ * hint: it reads no value, so a peer writing the lines meanwhile races
+ * nothing.
+ */
+inline void
+prefetchLines(const uint8_t *p, size_t n)
+{
+    for (size_t off = 0; off < n; off += 64)
+        __builtin_prefetch(p + off, 0, 3);
+}
+
+/**
+ * prefetchLines() for lines about to be written: fetched for
+ * ownership (x86 `prefetchw`), so the stores do not wait for it.
+ */
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("prfchw")))
+#endif
+inline void
+prefetchLinesForWrite(uint8_t *p, size_t n)
+{
+    for (size_t off = 0; off < n; off += 64)
+        __builtin_prefetch(p + off, 1, 3);
+}
 
 /** A spin-wait hint to the CPU (x86 `pause`); a no-op elsewhere. */
 inline void

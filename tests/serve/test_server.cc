@@ -20,8 +20,11 @@
  * costs dracod no fd, its memfd is sealed, dracod refuses it at the fd
  * limit and keeps serving, a bad or scribbled request drops only its
  * own connection, a client that never reads its bells stalls only
- * itself, a sleeping client wakes when the server stops, and an idle
- * slot costs no CPU.
+ * itself, a sleeping client wakes when the server stops, an idle
+ * slot costs no CPU, and a slot batch queued behind a busy shard is
+ * answered through the inbox. A client that breaks the protocol on
+ * one connection after another costs dracod's stderr at most a line
+ * per kind of violation per second.
  */
 
 #include <gtest/gtest.h>
@@ -1490,6 +1493,146 @@ TEST(CheckSlot, IdleSlotCostsNoCpu)
     const int64_t used = cpuNs() - before;
     EXPECT_LT(used, 20'000'000) << "CPU ns used while idle";
     EXPECT_TRUE(f.check(*f.client)) << "a parked slot wakes on its bell";
+}
+
+/**
+ * A slot batch whose shard is busy queues to the shard worker, and its
+ * reply reaches the client through the loop's inbox rather than the
+ * loop's own completion list. Another tenant of the shard keeps the
+ * worker busy with a large batch submitted straight to the service:
+ * the slot's verdicts are still the ones the loop drained inline, and
+ * the shard counts its slot batches among the worker's drains.
+ */
+TEST(CheckSlot, QueuedBatchIsAnsweredThroughTheInbox)
+{
+    SlotFixture f("slotqueued");
+    const std::vector<CheckResponse> want = f.resps;
+    TenantOptions roomy;
+    roomy.maxInFlight = 4000;
+    const TenantId busy = f.service.createTenant(
+        "busy", *builtinProfileByName("docker-default"), roomy);
+    ASSERT_NE(busy, kInvalidTenant);
+    TenantStats slotStats;
+    TenantStats busyStats;
+    ASSERT_TRUE(f.service.tenantStats(f.id, slotStats));
+    ASSERT_TRUE(f.service.tenantStats(busy, busyStats));
+    ASSERT_EQ(slotStats.shard, busyStats.shard);
+    const std::string shard =
+        "serve.shards.s" + std::to_string(slotStats.shard);
+    const auto load = trafficMix(99, roomy.maxInFlight);
+    std::vector<CheckResponse> loadResps(load.size());
+
+    MetricRegistry before;
+    f.service.exportMetrics(before);
+    constexpr uint64_t kBatches = 8;
+    for (uint64_t b = 0; b < kBatches; ++b) {
+        Batch held;
+        f.service.submitBatch(busy, load.data(),
+                              static_cast<uint32_t>(load.size()),
+                              loadResps.data(), held, nullptr,
+                              DrainOn::Worker);
+        const bool answered = f.check(*f.client);
+        held.wait();
+        ASSERT_TRUE(answered) << "batch " << b;
+        for (size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(f.resps[i].status, want[i].status) << b << "/" << i;
+            ASSERT_EQ(f.resps[i].epoch, want[i].epoch) << b << "/" << i;
+        }
+    }
+    MetricRegistry after;
+    f.service.exportMetrics(after);
+    const uint64_t drains = after.counterValue(shard + ".drains") -
+                            before.counterValue(shard + ".drains");
+    const uint64_t inlineDrains =
+        after.counterValue(shard + ".drains_inline") -
+        before.counterValue(shard + ".drains_inline");
+    EXPECT_GT(drains, inlineDrains);
+    EXPECT_LT(inlineDrains, kBatches)
+        << "every slot batch drained on the loop; none took the inbox";
+}
+
+/** @return How many lines of @p text contain @p needle. */
+size_t
+linesWith(const std::string &text, const std::string &needle)
+{
+    size_t n = 0;
+    for (size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+/**
+ * A client that reconnects and breaks the protocol again and again
+ * costs dracod's stderr at most a line per kind of violation per
+ * second: 100 oversized frame lengths, 100 unknown frame types and
+ * 100 malformed slot requests, each on a fresh connection, print at
+ * most two lines of each, while another client keeps its verdicts.
+ */
+TEST(SocketServer, ProtocolViolationWarningsAreRateLimited)
+{
+    SlotFixture f("warnlimit");
+    const std::vector<CheckResponse> want = f.resps;
+    // Wait for dracod to hang up on @p fd.
+    auto hungUp = [](int fd) {
+        uint8_t byte;
+        pollfd pfd{fd, POLLIN, 0};
+        return ::poll(&pfd, 1, 5000) == 1 && ::read(fd, &byte, 1) <= 0;
+    };
+    auto rawFrame = [&](const std::vector<uint8_t> &bytes) {
+        const int fd = connectEndpoint(Endpoint::unix_(f.path));
+        if (fd < 0)
+            return false;
+        const bool ok = sendAll(fd, bytes) && hungUp(fd);
+        ::close(fd);
+        return ok;
+    };
+    // A little-endian length prefix one past the frame limit.
+    const uint32_t tooLong = wire::kMaxFrameBytes + 1;
+    const std::vector<uint8_t> oversized = {
+        static_cast<uint8_t>(tooLong), static_cast<uint8_t>(tooLong >> 8),
+        static_cast<uint8_t>(tooLong >> 16),
+        static_cast<uint8_t>(tooLong >> 24)};
+    std::vector<uint8_t> unknownType;
+    const std::vector<uint8_t> typeByte = {0xEE};
+    wire::appendFrame(unknownType, typeByte);
+    const std::vector<uint8_t> garbage(64, 0xA5);
+    // One round of the three violations, then a batch of the good
+    // client. @return "" or what went wrong.
+    auto round = [&]() -> std::string {
+        if (!rawFrame(oversized))
+            return "oversized frame not hung up";
+        if (!rawFrame(unknownType))
+            return "unknown frame type not hung up";
+        auto bad = SocketClient::connect(f.path);
+        if (!bad || !f.check(*bad))
+            return "slot client failed";
+        support::copyToShared(bad->slotMemory().data() +
+                                  wire::kSlotRequestOffset,
+                              garbage.data(), garbage.size());
+        slotWord<uint32_t>(*bad, wire::kSlotRequestLen)
+            .store(static_cast<uint32_t>(garbage.size()));
+        slotWord<uint64_t>(*bad, wire::kSlotRequestSeq).fetch_add(1);
+        ringDaemon(*bad);
+        if (!hungUp(bad->fd()))
+            return "malformed slot request not hung up";
+        if (!f.check(*f.client))
+            return "good client failed";
+        for (size_t r = 0; r < want.size(); ++r)
+            if (f.resps[r].status != want[r].status)
+                return "good client's verdict " + std::to_string(r);
+        return "";
+    };
+
+    testing::internal::CaptureStderr();
+    std::string failed;
+    for (int i = 0; i < 100 && failed.empty(); ++i)
+        failed = round();
+    const std::string err = testing::internal::GetCapturedStderr();
+    ASSERT_EQ(failed, "");
+    EXPECT_LE(linesWith(err, "oversized frame length"), 2u) << err;
+    EXPECT_LE(linesWith(err, "unexpected frame type"), 2u) << err;
+    EXPECT_LE(linesWith(err, "malformed check slot request"), 2u) << err;
 }
 
 } // namespace
